@@ -9,9 +9,10 @@ populated by a process-parallel sweep is byte-for-byte reusable by a
 serial rerun — and vice versa — which is what lets experiments resume
 and share runs across invocations.
 
-Writes are atomic (temp file + :func:`os.replace`), so a cache directory
-can be shared by concurrent workers; unreadable entries are treated as
-misses and cleaned up rather than raised.
+Writes are atomic (:func:`~repro.runtime.integrity.atomic_write`, the
+DESIGN.md §9 "Durable writes" policy), so a cache directory can be
+shared by concurrent workers; unreadable entries are treated as misses
+and cleaned up rather than raised.
 
 The storage mechanics live in :class:`PickleStore` so sibling stores can
 share one directory, distinguished by entry suffix: :class:`RunCache`
@@ -26,7 +27,6 @@ import dataclasses
 import enum
 import hashlib
 import json
-import os
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, ClassVar, Mapping, Sequence
 import numpy as np
 
 from repro.errors import RunCacheError
-from repro.runtime.integrity import record_corruption
+from repro.runtime.integrity import atomic_write, sweep, unpickle_or_quarantine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.models.base import CulinaryEvolutionModel, EvolutionRun
@@ -272,45 +272,29 @@ class PickleStore:
         one-time warning per store — a flaky shared disk must look
         different from a cold cache.
         """
-        path = self.path_for(key)
-        try:
-            with path.open("rb") as handle:
-                payload = pickle.load(handle)
-        except FileNotFoundError:
+        found, payload = unpickle_or_quarantine(
+            self.path_for(key), type(self).__name__, "unreadable-entry"
+        )
+        if not found:
             self.stats.misses += 1
-            return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError) as exc:
-            self.stats.misses += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            record_corruption(
-                store=type(self).__name__,
-                path=path,
-                kind="unreadable-entry",
-                detail=f"{type(exc).__name__}: {exc}",
-                action="removed",
-            )
             return None
         self.stats.hits += 1
         return payload
 
     def put(self, key: str, payload: object) -> None:
-        """Store a payload atomically (safe under concurrent writers)."""
-        path = self.path_for(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        """Store a payload atomically (safe under concurrent writers).
+
+        Raises:
+            RunCacheError: If the payload cannot be pickled or written;
+                no temp file is left behind.
+        """
         try:
-            with tmp.open("wb") as handle:
+            with atomic_write(self.path_for(key)) as handle:
                 pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except (OSError, pickle.PicklingError) as exc:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise RunCacheError(f"failed to write cache entry: {exc}") from exc
+        except Exception as exc:
+            raise RunCacheError(
+                f"failed to write cache entry: {type(exc).__name__}: {exc}"
+            ) from exc
         self.stats.stores += 1
 
     def __len__(self) -> int:
@@ -344,38 +328,23 @@ class PickleStore:
             newest_mtime=newest,
         )
 
-    def _tmp_glob(self) -> str:
-        """Glob matching this store's in-flight temp files.
-
-        :meth:`put` writes through ``path.with_suffix(".tmp.<pid>")``,
-        which drops the entry name's final ``.pkl`` — e.g. a
-        ``<key>.run.pkl`` entry's temp is ``<key>.run.tmp.<pid>`` — so
-        the pattern is suffix-specific and never matches a sibling
-        store's temps.
-        """
-        return f"*{self.suffix[: -len('.pkl')]}.tmp.*"
+    def _patterns(self) -> tuple[str, str]:
+        """Globs for this store's entries and its crash-stranded temps."""
+        return f"*{self.suffix}", f"*{self.suffix}.tmp.*"
 
     def orphan_tmp_paths(self) -> list[Path]:
         """Leftover temp files from writers killed mid-:meth:`put`.
 
         A crash in the window between the temp write and the atomic
-        rename strands a ``*.tmp.<pid>`` file that no later operation
-        would otherwise touch; :meth:`clear` removes them all and
-        :meth:`prune_older_than` removes the stale ones.
+        rename strands a ``<key><suffix>.tmp.<pid>`` file that no later
+        operation would otherwise touch; :meth:`clear` removes them all
+        and :meth:`prune_older_than` removes the stale ones.
         """
-        return sorted(self.directory.glob(self._tmp_glob()))
+        return sorted(self.directory.glob(self._patterns()[1]))
 
     def clear(self) -> int:
         """Delete every entry and orphan temp; returns the number removed."""
-        removed = 0
-        for pattern in (f"*{self.suffix}", self._tmp_glob()):
-            for path in self.directory.glob(pattern):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
+        return sweep(self.directory, self._patterns())
 
     def prune_older_than(
         self, max_age_seconds: float, now: float | None = None
@@ -386,10 +355,9 @@ class PickleStore:
         periodic ``repro cache prune --max-age-days N`` keeps a shared
         cache bounded.  Age is measured from the entry's *write* mtime
         — :meth:`get` never refreshes it — so an entry older than the
-        cutoff is removed even if it was read recently.  Entries that
-        vanish mid-scan (a concurrent clear or prune) are skipped.
-        Orphaned temp files past the cutoff are removed too (age-gated,
-        not unconditionally: a fresh temp may be a concurrent writer's
+        cutoff is removed even if it was read recently.  Orphaned temp
+        files past the cutoff are removed too (age-gated, not
+        unconditionally: a fresh temp may be a concurrent writer's
         in-flight :meth:`put`).
 
         Args:
@@ -404,25 +372,7 @@ class PickleStore:
         Raises:
             RunCacheError: If the threshold is negative.
         """
-        if max_age_seconds < 0:
-            raise RunCacheError(
-                f"max_age_seconds must be >= 0, got {max_age_seconds}"
-            )
-        if now is None:
-            import time
-
-            now = time.time()
-        cutoff = now - max_age_seconds
-        removed = 0
-        for pattern in (f"*{self.suffix}", self._tmp_glob()):
-            for path in self.directory.glob(pattern):
-                try:
-                    if path.stat().st_mtime < cutoff:
-                        path.unlink()
-                        removed += 1
-                except OSError:
-                    continue
-        return removed
+        return sweep(self.directory, self._patterns(), max_age_seconds, now)
 
 
 class RunCache(PickleStore):

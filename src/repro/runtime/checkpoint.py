@@ -38,14 +38,15 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from repro.errors import RunCacheError
 from repro.runtime.faults import FAULT_KILL_EXIT_CODE
-from repro.runtime.integrity import record_corruption
+from repro.runtime.integrity import (
+    atomic_write, quarantine, sweep, unpickle_or_quarantine,
+)
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
@@ -78,6 +79,19 @@ QUARANTINE_SUFFIX = ".ckpt.bad"
 #: snapshot must still exist, and if snapshot k lands but is later
 #: found corrupt, k-1 is the fall-back.
 KEEP_SNAPSHOTS = 2
+
+#: Everything a :class:`CheckpointStore` owns in a shared directory:
+#: snapshots, quarantined snapshots and crash-stranded temps (last).
+_OWNED_PATTERNS = (
+    f"*{CHECKPOINT_SUFFIX}",
+    f"*{QUARANTINE_SUFFIX}",
+    f"*{CHECKPOINT_SUFFIX}.tmp.*",
+)
+
+
+def _bad_path(path: Path) -> Path:
+    """Where a corrupt snapshot is quarantined: ``*.ckpt.bad``."""
+    return path.with_name(path.name[: -len(CHECKPOINT_SUFFIX)] + QUARANTINE_SUFFIX)
 
 
 @dataclass(frozen=True)
@@ -249,27 +263,21 @@ class CheckpointStore:
         """
         if step < 1:
             raise RunCacheError(f"snapshot step must be >= 1, got {step}")
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        wrapper = {
-            "version": CHECKPOINT_FORMAT_VERSION,
-            "step": int(step),
-            "sha256": hashlib.sha256(blob).hexdigest(),
-            "payload": blob,
-        }
-        path = self.path_for(key, step)
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
         try:
-            tmp.write_bytes(
-                pickle.dumps(wrapper, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-            os.replace(tmp, path)
-        except (OSError, pickle.PicklingError) as exc:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            wrapper = {
+                "version": CHECKPOINT_FORMAT_VERSION,
+                "step": int(step),
+                "sha256": hashlib.sha256(blob).hexdigest(),
+                "payload": blob,
+            }
+            path = self.path_for(key, step)
+            with atomic_write(path) as handle:
+                pickle.dump(wrapper, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
             raise RunCacheError(
-                f"failed to write checkpoint snapshot: {exc}"
+                "failed to write checkpoint snapshot: "
+                f"{type(exc).__name__}: {exc}"
             ) from exc
         for old_step, old_path in self._snapshots(key)[KEEP_SNAPSHOTS:]:
             try:
@@ -279,25 +287,7 @@ class CheckpointStore:
         return path
 
     def _quarantine(self, path: Path, kind: str, detail: str) -> None:
-        target = path.with_name(
-            path.name[: -len(CHECKPOINT_SUFFIX)] + QUARANTINE_SUFFIX
-        )
-        try:
-            os.replace(path, target)
-            action = "quarantined"
-        except OSError:
-            action = "removed"  # rename failed; it is gone either way
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        record_corruption(
-            store=type(self).__name__,
-            path=path,
-            kind=kind,
-            detail=detail,
-            action=action,
-        )
+        quarantine(path, _bad_path(path), type(self).__name__, kind, detail)
 
     def latest(self, key: str) -> tuple[int, object] | None:
         """The newest *valid* snapshot as ``(step, payload)``, or ``None``.
@@ -307,17 +297,11 @@ class CheckpointStore:
         with every snapshot corrupt simply restarts from step 0.
         """
         for step, path in self._snapshots(key):
-            try:
-                wrapper = pickle.loads(path.read_bytes())
-            except FileNotFoundError:
-                continue  # pruned/discarded under us
-            except (OSError, pickle.UnpicklingError, EOFError,
-                    AttributeError, ImportError, IndexError) as exc:
-                self._quarantine(
-                    path, "torn-snapshot",
-                    f"{type(exc).__name__}: {exc}",
-                )
-                continue
+            found, wrapper = unpickle_or_quarantine(
+                path, type(self).__name__, "torn-snapshot", _bad_path(path)
+            )
+            if not found:
+                continue  # pruned under us, or torn and quarantined
             if (
                 not isinstance(wrapper, dict)
                 or wrapper.get("version") != CHECKPOINT_FORMAT_VERSION
@@ -367,25 +351,11 @@ class CheckpointStore:
 
     def orphan_tmp_paths(self) -> list[Path]:
         """Leftover ``*.ckpt.pkl.tmp.<pid>`` files from killed writers."""
-        return sorted(
-            self.directory.glob(f"*{CHECKPOINT_SUFFIX}.tmp.*")
-        )
+        return sorted(self.directory.glob(_OWNED_PATTERNS[-1]))
 
     def clear(self) -> int:
         """Remove all snapshots, quarantined snapshots and orphan temps."""
-        removed = 0
-        for pattern in (
-            f"*{CHECKPOINT_SUFFIX}",
-            f"*{QUARANTINE_SUFFIX}",
-            f"*{CHECKPOINT_SUFFIX}.tmp.*",
-        ):
-            for path in self.directory.glob(pattern):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
+        return sweep(self.directory, _OWNED_PATTERNS)
 
     def prune_older_than(
         self, max_age_seconds: float, now: float | None = None
@@ -400,27 +370,7 @@ class CheckpointStore:
         Raises:
             RunCacheError: If the threshold is negative.
         """
-        if max_age_seconds < 0:
-            raise RunCacheError(
-                f"max_age_seconds must be >= 0, got {max_age_seconds}"
-            )
-        if now is None:
-            now = time.time()
-        cutoff = now - max_age_seconds
-        removed = 0
-        for pattern in (
-            f"*{CHECKPOINT_SUFFIX}",
-            f"*{QUARANTINE_SUFFIX}",
-            f"*{CHECKPOINT_SUFFIX}.tmp.*",
-        ):
-            for path in self.directory.glob(pattern):
-                try:
-                    if path.stat().st_mtime < cutoff:
-                        path.unlink()
-                        removed += 1
-                except OSError:
-                    continue
-        return removed
+        return sweep(self.directory, _OWNED_PATTERNS, max_age_seconds, now)
 
 
 class RunCheckpointer:

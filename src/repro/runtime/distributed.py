@@ -66,6 +66,7 @@ from repro.runtime.executor import (
 )
 from repro.runtime.checkpoint import disarm_kill, resume_events
 from repro.runtime.faults import FaultPlan, inject_fault
+from repro.runtime.integrity import atomic_write
 
 __all__ = [
     "DistributedExecutor",
@@ -184,20 +185,6 @@ class SpoolTask:
     index: int
     fn: Callable
     item: object
-
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write-then-rename so readers never observe a partial file."""
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise
 
 
 def _task_index(task_id: str) -> int:
@@ -660,13 +647,13 @@ def run_worker(
                     ),
                 )
                 try:
-                    _atomic_write_bytes(
-                        spool.results / f"{task_id}{RESULT_SUFFIX}",
-                        pickle.dumps(
-                            payload, protocol=pickle.HIGHEST_PROTOCOL
-                        ),
-                    )
-                except (OSError, pickle.PicklingError):
+                    with atomic_write(
+                        spool.results / f"{task_id}{RESULT_SUFFIX}"
+                    ) as handle:
+                        pickle.dump(
+                            payload, handle, protocol=pickle.HIGHEST_PROTOCOL
+                        )
+                except Exception:
                     # Result undeliverable (spool vanished, unpicklable
                     # value).  Losing the lease is the correct signal:
                     # the coordinator reclaims and retries elsewhere.
@@ -892,9 +879,8 @@ class _MapSession:
                 f"{self._task_id(lease.index)}.a{lease.attempt:02d}"
                 f"{TASK_SUFFIX}"
             )
-            _atomic_write_bytes(
-                self._spool.tasks / name, self._payloads[lease.index]
-            )
+            with atomic_write(self._spool.tasks / name) as handle:
+                handle.write(self._payloads[lease.index])
             self._spooled[lease.index] = lease.attempt
 
     def _collect_results(self, now: float) -> None:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ExecutionError
+from repro.runtime.integrity import atomic_write
 
 __all__ = [
     "FAULT_KINDS",
@@ -183,12 +184,12 @@ class FaultPlan:
     def save(self, path: str | Path) -> Path:
         """Write the plan as JSON (atomically — workers may be polling)."""
         path = Path(path)
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        tmp.write_text(
-            json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        os.replace(tmp, path)
+        with atomic_write(path) as handle:
+            handle.write(
+                json.dumps(self.to_payload(), indent=2, sort_keys=True)
+                .encode("utf-8")
+                + b"\n"
+            )
         return path
 
     @classmethod

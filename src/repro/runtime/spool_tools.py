@@ -39,6 +39,7 @@ from repro.runtime.distributed import (
     TASK_SUFFIX,
     Spool,
 )
+from repro.runtime.integrity import sweep
 
 __all__ = [
     "SpoolCompaction",
@@ -152,14 +153,11 @@ def _orphan_heartbeats(spool: Spool) -> list[Path]:
     ]
 
 
-def _orphan_tmps(spool: Spool) -> list[Path]:
-    """Stranded atomic-write temps across the whole layout."""
-    orphans: list[Path] = []
-    for directory in (
+def _layout_dirs(spool: Spool) -> tuple[Path, ...]:
+    """Every directory an atomic write (and so a stranded temp) can be in."""
+    return (
         spool.root, spool.tasks, spool.claimed, spool.results, spool.workers,
-    ):
-        orphans.extend(directory.glob("*.tmp.*"))
-    return orphans
+    )
 
 
 def _attempt_counts(spool: Spool) -> dict[str, int]:
@@ -226,7 +224,9 @@ def spool_stats(
         ),
         live_workers=live,
         dead_workers=dead,
-        orphan_tmp=len(_orphan_tmps(spool)),
+        orphan_tmp=sum(
+            len(list(d.glob("*.tmp.*"))) for d in _layout_dirs(spool)
+        ),
         attempts=_attempt_counts(spool),
         stop_signaled=spool.stop_path.exists(),
     )
@@ -293,22 +293,15 @@ def compact_spool(
         unlink(heartbeat) for heartbeat in _orphan_heartbeats(spool)
     )
 
-    dead_workers = sum(
-        unlink(marker)
-        for marker in spool.workers.glob(f"*{ALIVE_SUFFIX}")
-        if (touched := _mtime(marker)) is not None and touched < cutoff
+    dead_workers = sweep(
+        spool.workers, [f"*{ALIVE_SUFFIX}"], older_than=stale_after, now=now
     )
-
-    stale_results = sum(
-        unlink(result)
-        for result in spool.results.glob(f"*{RESULT_SUFFIX}")
-        if (written := _mtime(result)) is not None and written < cutoff
+    stale_results = sweep(
+        spool.results, [f"*{RESULT_SUFFIX}"], older_than=stale_after, now=now
     )
-
     orphan_tmp = sum(
-        unlink(tmp)
-        for tmp in _orphan_tmps(spool)
-        if (written := _mtime(tmp)) is not None and written < cutoff
+        sweep(d, ["*.tmp.*"], older_than=stale_after, now=now)
+        for d in _layout_dirs(spool)
     )
 
     return SpoolCompaction(

@@ -26,14 +26,14 @@ corpus build, mining and stats stream in bounded memory:
 The container is a single file: planes 64-byte aligned back to back, a
 JSON *footer* describing them (dtype/shape/offset plus a SHA-256 per
 plane and :data:`COLUMNAR_FORMAT_VERSION`), and a fixed trailer holding
-the footer's offset and digest.  Writes follow the §9 checkpoint
-conventions — staged to temp files, assembled, fsynced and atomically
-renamed into place — so a crashed packer leaves an orphan temp, never a
-readable half-corpus.  A file whose trailer, footer or (under
-``verify=True``) plane digests fail validation is **quarantined**
-(renamed to ``*.bad``, recorded via
-:func:`repro.runtime.integrity.record_corruption`) instead of parsed
-into garbage.
+the footer's offset and digest.  Writes follow the §9 "Durable writes"
+policy — planes staged to temp files, assembled through
+:func:`repro.runtime.integrity.atomic_write` and fsynced before the
+rename — so a crashed packer leaves an orphan temp, never a readable
+half-corpus.  A file whose trailer, footer or (under ``verify=True``)
+plane digests fail validation is **quarantined** (renamed to ``*.bad``
+by :func:`repro.runtime.integrity.quarantine`, which records it)
+instead of parsed into garbage.
 
 Memmap lifetime rule: every array a :class:`ColumnarCorpus` hands out is
 a read-only view into the mapping — keep the corpus open while you use
@@ -56,7 +56,7 @@ from repro.corpus.recipe import Recipe
 from repro.corpus.stats import CorpusStats, CuisineStats
 from repro.errors import EmptyCorpusError, StorageError
 from repro.lexicon.lexicon import Lexicon
-from repro.runtime.integrity import record_corruption
+from repro.runtime.integrity import atomic_write, quarantine, temp_path
 from repro.storage.inverted_index import InvertedIndex
 from repro.storage.store import RecipeStore
 
@@ -177,8 +177,8 @@ class ColumnarWriter:
     generator uses); per-recipe planes are staged to temp files beside
     the target, so peak memory is bounded by the chunk size plus O(one
     int per recipe), never by the corpus.  :meth:`close` assembles the
-    final container atomically (§9 conventions: temp + fsync +
-    ``os.replace``).
+    final container atomically (§9 "Durable writes": ``atomic_write``
+    plus an fsync).
 
     Args:
         path: Target file (conventionally ``*.col``).
@@ -209,34 +209,23 @@ class ColumnarWriter:
         self._region_codes: list[str] = []
         self._region_of: dict[str, int] = {}
         self._lengths: list[np.ndarray] = []
-        token = f".tmp.{os.getpid()}"
         self._stages: dict[str, _Stage] = {
-            "indices": _Stage(
-                self.path.with_name(self.path.name + f".indices{token}"),
-                np.int32,
-            ),
-            "recipe_ids": _Stage(
-                self.path.with_name(self.path.name + f".ids{token}"),
-                np.int64,
-            ),
-            "region_index": _Stage(
-                self.path.with_name(self.path.name + f".regions{token}"),
-                np.uint16,
-            ),
+            "indices": _Stage(self._stage_path("indices"), np.int32),
+            "recipe_ids": _Stage(self._stage_path("ids"), np.int64),
+            "region_index": _Stage(self._stage_path("regions"), np.uint16),
         }
         if self.store_text:
             for field in ("title", "source"):
                 self._stages[f"{field}_bytes"] = _Stage(
-                    self.path.with_name(self.path.name + f".{field}{token}"),
-                    np.uint8,
+                    self._stage_path(field), np.uint8
                 )
                 self._stages[f"{field}_lens"] = _Stage(
-                    self.path.with_name(
-                        self.path.name + f".{field}len{token}"
-                    ),
-                    np.int64,
+                    self._stage_path(f"{field}len"), np.int64
                 )
-        self._tmp_container = self.path.with_name(self.path.name + token)
+
+    def _stage_path(self, plane: str) -> Path:
+        """Temp file staging one plane: ``<name>.<plane>.tmp.<pid>``."""
+        return temp_path(self.path.with_name(f"{self.path.name}.{plane}"))
 
     # -- input paths ----------------------------------------------------
 
@@ -394,7 +383,6 @@ class ColumnarWriter:
         self._closed = True
         for stage in self._stages.values():
             stage.discard()
-        self._tmp_container.unlink(missing_ok=True)
 
     def __enter__(self) -> "ColumnarWriter":
         return self
@@ -422,7 +410,6 @@ class ColumnarWriter:
                 stage.discard()
             for path in bit_stages:
                 path.unlink(missing_ok=True)
-            self._tmp_container.unlink(missing_ok=True)
         return self.path
 
     def _assemble_planes(
@@ -545,9 +532,7 @@ class ColumnarWriter:
                 )
             assert universe is not None
             n_bytes = (n_c + 7) // 8
-            stage_path = self._tmp_container.with_name(
-                self._tmp_container.name + f".bits.{len(planes)}"
-            )
+            stage_path = self._stage_path(f"bits.{len(planes)}")
             matrix = np.memmap(
                 stage_path,
                 dtype=np.uint8,
@@ -587,7 +572,7 @@ class ColumnarWriter:
         planes: list[tuple[str, np.ndarray | Path, np.dtype, tuple[int, ...]]],
     ) -> None:
         descriptors: dict[str, dict] = {}
-        with self._tmp_container.open("wb") as out:
+        with atomic_write(self.path) as out:
             out.write(_MAGIC)
             offset = len(_MAGIC)
             for name, data, dtype, shape in planes:
@@ -648,9 +633,11 @@ class ColumnarWriter:
                 + len(footer_bytes).to_bytes(8, "little")
                 + hashlib.sha256(footer_bytes).digest()
             )
+            # The only store that fsyncs: unlike runs, snapshots and
+            # spool files, a corpus cannot be recomputed from a seed
+            # (DESIGN.md §9, "Durable writes").
             out.flush()
             os.fsync(out.fileno())
-        os.replace(self._tmp_container, self.path)
 
 
 def pack_dataset(
@@ -820,18 +807,13 @@ class ColumnarCorpus:
     @staticmethod
     def _quarantine(source: Path, kind: str, detail: str) -> StorageError:
         """Rename a failed file aside and return the error to raise."""
-        quarantined = source.with_name(source.name + ".bad")
-        action = "quarantined"
-        try:
-            os.replace(source, quarantined)
-        except OSError:  # pragma: no cover - rename race/readonly dir
-            action = "left in place"
-        record_corruption(
-            "ColumnarCorpus", source, kind, detail, action
+        record = quarantine(
+            source, source.with_name(source.name + ".bad"),
+            "ColumnarCorpus", kind, detail,
         )
         return StorageError(
             f"columnar corpus {source} failed validation ({kind}: "
-            f"{detail}); {action}"
+            f"{detail}); {record.action}"
         )
 
     @staticmethod

@@ -178,23 +178,9 @@ def test_corruption_warns_once_per_store_and_kind(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Crash-window debris: orphan temps in both stores
+# Crash-window debris (the forked-crash properties for every store live
+# in test_durable_stores.py)
 # ---------------------------------------------------------------------------
-
-
-def test_checkpoint_orphan_tmp_cleanup(tmp_path):
-    store = CheckpointStore(tmp_path)
-    store.put("run", 2, {"at": 2})
-    # A writer killed between temp write and rename leaves exactly this.
-    orphan = tmp_path / "run.s00000004.ckpt.pkl.tmp.9999"
-    orphan.write_bytes(b"half a snapshot")
-    assert store.orphan_tmp_paths() == [orphan]
-    # The orphan is invisible to reads...
-    assert store.latest("run") == (2, {"at": 2})
-    # ...and swept by clear() along with everything else.
-    assert store.clear() == 2
-    assert store.orphan_tmp_paths() == []
-    assert store.latest("run") is None
 
 
 def test_checkpoint_prune_sweeps_aged_tmp_and_quarantine(tmp_path):
@@ -224,21 +210,11 @@ def test_run_cache_corrupt_entry_event_and_orphan_sweep(tmp_path):
     assert events[0].action == "removed"
 
     # Crash-window temp: the same name put() would have used mid-write.
-    orphan = tmp_path / "deadbeef.run.tmp.4242"
+    orphan = tmp_path / "deadbeef.run.pkl.tmp.4242"
     orphan.write_bytes(b"half an entry")
     assert cache.orphan_tmp_paths() == [orphan]
     assert cache.clear() == 1  # just the orphan; real entry already gone
     assert cache.orphan_tmp_paths() == []
-
-
-def test_run_cache_prune_removes_aged_orphan_tmp(tmp_path):
-    cache = RunCache(tmp_path)
-    orphan = tmp_path / "cafe.run.tmp.77"
-    orphan.write_bytes(b"x")
-    assert cache.prune_older_than(3600.0) == 0  # too young
-    assert orphan.exists()
-    assert cache.prune_older_than(0.0) == 1
-    assert not orphan.exists()
 
 
 # ---------------------------------------------------------------------------

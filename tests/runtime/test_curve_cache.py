@@ -86,15 +86,6 @@ def test_shares_directory_with_run_cache(tmp_path):
     assert len(run_cache) == 1  # clearing curves leaves runs intact
 
 
-def test_corrupt_entry_is_evicted(tmp_path):
-    cache = CurveCache(tmp_path)
-    key = "b" * 64
-    cache.put(key, np.array([1.0]))
-    cache.path_for(key).write_bytes(b"not a pickle")
-    assert cache.get(key) is None
-    assert not cache.path_for(key).exists()
-
-
 def test_prune_only_touches_curves(tmp_path):
     run_cache = RunCache(tmp_path)
     curve_cache = CurveCache(tmp_path)
