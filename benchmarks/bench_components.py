@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.itemsets import apriori, eclat, ingredient_transactions
+from repro.analysis.itemsets import eclat, ingredient_transactions
 from repro.models.params import CuisineSpec
 from repro.models.registry import create_model
 from repro.synthesis.noise import MentionRenderer
@@ -47,18 +47,6 @@ def test_mention_resolution(benchmark, lexicon):
 
 def test_eclat_mining(benchmark, ita_transactions):
     result = benchmark(eclat, ita_transactions, 0.05)
-    assert len(result) > 10
-
-
-def test_apriori_mining(benchmark, ita_transactions):
-    result = benchmark(apriori, ita_transactions, 0.05)
-    assert len(result) > 10
-
-
-def test_fpgrowth_mining(benchmark, ita_transactions):
-    from repro.analysis.itemsets import fpgrowth
-
-    result = benchmark(fpgrowth, ita_transactions, 0.05)
     assert len(result) > 10
 
 

@@ -168,7 +168,7 @@ def combination_curve(
                     cached, algorithm=mining.algorithm
                 )
                 return curve_from_mining(result, region_code), result
-        # Bit-identical to every registered miner (the §6 equality
+        # Bit-identical to every miner (the §6 equality
         # contract), so the packed path can serve any requested
         # algorithm — restamped like a shared cache entry.
         result = dataclasses.replace(

@@ -4,29 +4,22 @@ The paper considers all ingredient combinations ("of size 1 and greater")
 that appear in at least 5% of a cuisine's recipes — i.e. frequent
 itemsets at relative support 0.05.  Three miners are provided:
 
-* ``eclat`` — vertical tidset intersection, depth-first.  The default;
-  fast for the paper's support threshold.
+* ``eclat`` — vertical tidset intersection, depth-first.  The default
+  and the reference implementation.
 * ``bitset`` — the same search over numpy packed-bit tidsets with
   vectorized AND + popcount (:mod:`repro.analysis.itemsets_bitset`,
-  loaded lazily); the fast path for ensemble mining.
-* ``apriori`` — classic level-wise candidate generation over horizontal
-  data.  Independent implementation used to cross-check Eclat.
-* ``fpgrowth`` — FP-tree projection mining; fastest on dense data with
-  long frequent itemsets.
+  imported on first use); the fast path for ensemble mining.
 * ``bruteforce`` — exact subset enumeration; exponential, only for small
-  inputs and property tests.
+  inputs and property tests (the oracle).
 
 All miners return identical results (a property the test-suite enforces).
 Items are integers (lexicon ingredient ids, or category indexes via
 :func:`category_transactions`).  :func:`available_algorithms` lists the
-registered miner names; :func:`register_algorithm` is the extension seam
-new miners (including the lazily-imported bitset engine) register
-through.
+miner names.
 """
 
 from __future__ import annotations
 
-import importlib
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -42,10 +35,7 @@ __all__ = [
     "MiningResult",
     "available_algorithms",
     "mine_frequent_itemsets",
-    "register_algorithm",
     "eclat",
-    "apriori",
-    "fpgrowth",
     "bruteforce",
     "category_transactions",
     "ingredient_transactions",
@@ -127,6 +117,11 @@ def _min_count(min_support: float, n_transactions: int) -> int:
     return max(1, math.ceil(min_support * n_transactions))
 
 
+def _check_max_size(max_size: int | None) -> None:
+    if max_size is not None and max_size < 1:
+        raise MiningError(f"max_size must be >= 1, got {max_size}")
+
+
 def _normalize_transactions(
     transactions: Iterable[Iterable[int]],
 ) -> list[frozenset[int]]:
@@ -169,6 +164,7 @@ def eclat(
     max_size: int | None = None,
 ) -> MiningResult:
     """Depth-first vertical mining with tidset intersections."""
+    _check_max_size(max_size)
     data = _normalize_transactions(transactions)
     n = len(data)
     if n == 0:
@@ -212,228 +208,6 @@ def eclat(
 
 
 # ---------------------------------------------------------------------------
-# Apriori
-# ---------------------------------------------------------------------------
-
-
-def apriori(
-    transactions: Iterable[Iterable[int]],
-    min_support: float,
-    max_size: int | None = None,
-) -> MiningResult:
-    """Level-wise mining with candidate generation and pruning."""
-    data = _normalize_transactions(transactions)
-    n = len(data)
-    if n == 0:
-        return MiningResult((), 0, min_support, "apriori")
-    min_count = _min_count(min_support, n)
-
-    counts: dict[tuple[int, ...], int] = {}
-    for transaction in data:
-        for item in transaction:
-            key = (item,)
-            counts[key] = counts.get(key, 0) + 1
-    current = {items for items, c in counts.items() if c >= min_count}
-    found = {items: counts[items] for items in current}
-
-    size = 1
-    while current and (max_size is None or size < max_size):
-        size += 1
-        # Join step: merge itemsets sharing the first size-2 items.
-        sorted_current = sorted(current)
-        candidates: set[tuple[int, ...]] = set()
-        for i, a in enumerate(sorted_current):
-            for b in sorted_current[i + 1:]:
-                if a[:-1] != b[:-1]:
-                    break
-                candidate = a + (b[-1],)
-                # Prune: all (size-1)-subsets must be frequent.
-                if all(
-                    candidate[:j] + candidate[j + 1:] in current
-                    for j in range(len(candidate))
-                ):
-                    candidates.add(candidate)
-        if not candidates:
-            break
-        level_counts = {candidate: 0 for candidate in candidates}
-        candidate_list = sorted(candidates)
-        for transaction in data:
-            if len(transaction) < size:
-                continue
-            for candidate in candidate_list:
-                if all(item in transaction for item in candidate):
-                    level_counts[candidate] += 1
-        current = {
-            candidate
-            for candidate, count in level_counts.items()
-            if count >= min_count
-        }
-        for candidate in current:
-            found[candidate] = level_counts[candidate]
-        if len(found) > MAX_ITEMSETS:
-            raise MiningError(
-                f"mining exceeded {MAX_ITEMSETS} itemsets; raise "
-                "min_support or cap max_size"
-            )
-    return _sorted_result(found, n, min_support, "apriori")
-
-
-# ---------------------------------------------------------------------------
-# FP-Growth
-# ---------------------------------------------------------------------------
-
-
-class _FPNode:
-    """One node of an FP-tree: an item with a count and children."""
-
-    __slots__ = ("item", "count", "parent", "children", "link")
-
-    def __init__(self, item: int | None, parent: "_FPNode | None"):
-        self.item = item
-        self.count = 0
-        self.parent = parent
-        self.children: dict[int, _FPNode] = {}
-        self.link: _FPNode | None = None  # next node holding the same item
-
-
-def _build_fp_tree(
-    itemlists: list[list[int]],
-    counts: list[int],
-) -> tuple[_FPNode, dict[int, "_FPNode"]]:
-    """Build an FP-tree from (ordered item list, count) pairs."""
-    root = _FPNode(None, None)
-    headers: dict[int, _FPNode] = {}
-    tails: dict[int, _FPNode] = {}
-    for items, count in zip(itemlists, counts):
-        node = root
-        for item in items:
-            child = node.children.get(item)
-            if child is None:
-                child = _FPNode(item, node)
-                node.children[item] = child
-                if item in tails:
-                    tails[item].link = child
-                else:
-                    headers[item] = child
-                tails[item] = child
-            child.count += count
-            node = child
-    return root, headers
-
-
-def _fp_mine(
-    headers: dict[int, _FPNode],
-    item_order: dict[int, int],
-    min_count: int,
-    suffix: tuple[int, ...],
-    found: dict[tuple[int, ...], int],
-) -> None:
-    """Recursively mine an FP-tree through conditional projections."""
-    # Process items from least to most frequent (reverse of tree order).
-    for item in sorted(headers, key=lambda i: item_order[i], reverse=True):
-        support = 0
-        node = headers[item]
-        while node is not None:
-            support += node.count
-            node = node.link
-        if support < min_count:
-            continue
-        itemset = tuple(sorted(suffix + (item,)))
-        found[itemset] = support
-        if len(found) > MAX_ITEMSETS:
-            raise MiningError(
-                f"mining exceeded {MAX_ITEMSETS} itemsets; raise "
-                "min_support or cap max_size"
-            )
-        # Conditional pattern base: prefix paths of every node of `item`.
-        conditional_lists: list[list[int]] = []
-        conditional_counts: list[int] = []
-        node = headers[item]
-        while node is not None:
-            path: list[int] = []
-            ancestor = node.parent
-            while ancestor is not None and ancestor.item is not None:
-                path.append(ancestor.item)
-                ancestor = ancestor.parent
-            if path:
-                path.reverse()
-                conditional_lists.append(path)
-                conditional_counts.append(node.count)
-            node = node.link
-        if not conditional_lists:
-            continue
-        # Keep only items frequent within the conditional base.
-        base_counts: dict[int, int] = {}
-        for path, count in zip(conditional_lists, conditional_counts):
-            for path_item in path:
-                base_counts[path_item] = base_counts.get(path_item, 0) + count
-        keep = {i for i, c in base_counts.items() if c >= min_count}
-        if not keep:
-            continue
-        filtered = [
-            [i for i in path if i in keep] for path in conditional_lists
-        ]
-        pairs = [
-            (path, count)
-            for path, count in zip(filtered, conditional_counts)
-            if path
-        ]
-        if not pairs:
-            continue
-        _root, sub_headers = _build_fp_tree(
-            [path for path, _count in pairs],
-            [count for _path, count in pairs],
-        )
-        _fp_mine(sub_headers, item_order, min_count, itemset, found)
-
-
-def fpgrowth(
-    transactions: Iterable[Iterable[int]],
-    min_support: float,
-    max_size: int | None = None,
-) -> MiningResult:
-    """FP-Growth mining via recursive conditional FP-trees.
-
-    ``max_size`` is applied as a post-filter (the tree mines all sizes);
-    the paper's analyses mine unbounded sizes anyway.
-    """
-    data = _normalize_transactions(transactions)
-    n = len(data)
-    if n == 0:
-        return MiningResult((), 0, min_support, "fpgrowth")
-    min_count = _min_count(min_support, n)
-
-    item_counts: dict[int, int] = {}
-    for transaction in data:
-        for item in transaction:
-            item_counts[item] = item_counts.get(item, 0) + 1
-    frequent = {i for i, c in item_counts.items() if c >= min_count}
-    # Global order: most frequent first; ties by item id for determinism.
-    ordered = sorted(frequent, key=lambda i: (-item_counts[i], i))
-    item_order = {item: rank for rank, item in enumerate(ordered)}
-
-    itemlists = []
-    for transaction in data:
-        kept = sorted(
-            (i for i in transaction if i in frequent),
-            key=lambda i: item_order[i],
-        )
-        if kept:
-            itemlists.append(kept)
-    _root, headers = _build_fp_tree(itemlists, [1] * len(itemlists))
-
-    found: dict[tuple[int, ...], int] = {}
-    _fp_mine(headers, item_order, min_count, (), found)
-    if max_size is not None:
-        found = {
-            items: support
-            for items, support in found.items()
-            if len(items) <= max_size
-        }
-    return _sorted_result(found, n, min_support, "fpgrowth")
-
-
-# ---------------------------------------------------------------------------
 # Brute force
 # ---------------------------------------------------------------------------
 
@@ -447,6 +221,7 @@ def bruteforce(
 
     Exponential in transaction size — reference implementation for tests.
     """
+    _check_max_size(max_size)
     data = _normalize_transactions(transactions)
     n = len(data)
     if n == 0:
@@ -468,54 +243,29 @@ def bruteforce(
     return _sorted_result(found, n, min_support, "bruteforce")
 
 
-_ALGORITHMS: dict[str, Callable[..., MiningResult]] = {
-    "eclat": eclat,
-    "apriori": apriori,
-    "fpgrowth": fpgrowth,
+def _bitset(
+    transactions: Iterable[Iterable[int]],
+    min_support: float,
+    max_size: int | None = None,
+) -> MiningResult:
+    # Imported on first use: the bitset module imports this one.
+    from repro.analysis.itemsets_bitset import bitset_eclat
+
+    return bitset_eclat(transactions, min_support, max_size=max_size)
+
+
+#: The miner table: ``eclat`` is the default and the reference,
+#: ``bitset`` the fast path and ``bruteforce`` the oracle.
+_MINERS: dict[str, Callable[..., MiningResult]] = {
+    "bitset": _bitset,
     "bruteforce": bruteforce,
+    "eclat": eclat,
 }
-
-#: Miners that live in their own module and register on first use, so
-#: importing :mod:`repro.analysis.itemsets` stays cheap.
-_LAZY_ALGORITHMS: dict[str, str] = {
-    "bitset": "repro.analysis.itemsets_bitset",
-}
-
-
-def register_algorithm(
-    name: str, miner: Callable[..., MiningResult]
-) -> None:
-    """Register a miner under ``name`` (the extension seam).
-
-    The callable must accept ``(transactions, min_support, max_size=)``
-    and honor the shared result contract: identical itemsets/supports to
-    the reference miners, sorted by ``(-support, size, items)``.
-    """
-    _ALGORITHMS[name] = miner
 
 
 def available_algorithms() -> tuple[str, ...]:
-    """Names of every registered mining algorithm, sorted.
-
-    Forces the lazily-registered miners to load first, so the list is
-    complete regardless of import order.
-    """
-    for module in _LAZY_ALGORITHMS.values():
-        importlib.import_module(module)
-    return tuple(sorted(_ALGORITHMS))
-
-
-def _resolve_algorithm(algorithm: str) -> Callable[..., MiningResult]:
-    miner = _ALGORITHMS.get(algorithm)
-    if miner is None and algorithm in _LAZY_ALGORITHMS:
-        importlib.import_module(_LAZY_ALGORITHMS[algorithm])
-        miner = _ALGORITHMS.get(algorithm)
-    if miner is None:
-        raise MiningError(
-            f"unknown mining algorithm {algorithm!r}; "
-            f"available: {list(available_algorithms())}"
-        )
-    return miner
+    """Names of every mining algorithm, sorted."""
+    return tuple(sorted(_MINERS))
 
 
 def mine_frequent_itemsets(
@@ -531,14 +281,19 @@ def mine_frequent_itemsets(
             indexes).
         min_support: Relative support threshold — the paper uses 0.05.
         algorithm: One of :func:`available_algorithms` — ``"eclat"``
-            (default), ``"bitset"``, ``"apriori"``, ``"fpgrowth"`` or
-            ``"bruteforce"``; all return identical results.
+            (default), ``"bitset"`` or ``"bruteforce"``; all return
+            identical results.
         max_size: Optional cap on itemset size.
 
     Returns:
         A :class:`MiningResult` with itemsets in rank order.
     """
-    miner = _resolve_algorithm(algorithm)
+    miner = _MINERS.get(algorithm)
+    if miner is None:
+        raise MiningError(
+            f"unknown mining algorithm {algorithm!r}; "
+            f"available: {list(available_algorithms())}"
+        )
     return miner(transactions, min_support, max_size=max_size)
 
 

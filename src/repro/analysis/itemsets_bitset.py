@@ -16,10 +16,10 @@ The search tree, the pruning rule (support >= min_count) and the
 ``(-support, size, items)`` rank order are exactly those of the
 pure-Python miner, so the results are identical item for item and count
 for count — a property ``tests/analysis/test_itemsets_bitset.py`` pins
-against all four pre-existing miners on randomized inputs.
+against ``eclat`` and ``bruteforce`` on randomized inputs.
 
-Registered lazily as ``algorithm="bitset"`` in
-:mod:`repro.analysis.itemsets`; select it via
+Listed as ``algorithm="bitset"`` in :mod:`repro.analysis.itemsets`'s
+miner table and imported on first use; select it via
 ``MiningConfig(algorithm="bitset")`` or ``--mining-algorithm bitset``.
 """
 
@@ -33,9 +33,9 @@ import numpy as np
 from repro.analysis.itemsets import (
     MAX_ITEMSETS,
     MiningResult,
+    _check_max_size,
     _min_count,
     _sorted_result,
-    register_algorithm,
 )
 from repro.errors import MiningError
 
@@ -67,6 +67,7 @@ def bitset_eclat(
         and supports are identical to the pure-Python miners' (only the
         ``algorithm`` field differs).
     """
+    _check_max_size(max_size)
     # Sets pass through untouched (model runs hand us frozensets
     # already); anything else is deduplicated the way the reference
     # miners' normalization does.
@@ -202,7 +203,7 @@ def mine_packed(
         max_size: Optional cap on itemset size.
 
     Returns:
-        A result bit-identical to any registered miner over the same
+        A result bit-identical to any miner over the same
         transactions (``algorithm`` reads ``"bitset"``).
     """
     matrix = np.asarray(matrix)
@@ -218,6 +219,7 @@ def mine_packed(
         )
     if item_ids.size > 1 and not (np.diff(item_ids) > 0).all():
         raise MiningError("item_ids must be strictly ascending")
+    _check_max_size(max_size)
     n = int(n_transactions)
     if n == 0:
         return MiningResult((), 0, min_support, "bitset")
@@ -241,6 +243,3 @@ def mine_packed(
         min_support,
         max_size,
     )
-
-
-register_algorithm("bitset", bitset_eclat)

@@ -42,8 +42,8 @@ With ``--cache-dir`` set, ``--checkpoint-every N`` snapshots engine
 state every N steps beside the run cache so an interrupted sweep
 resumes bit-identically from its latest valid snapshot (DESIGN.md §9).
 Mining commands accept ``--mining-algorithm`` (default ``bitset``, the
-packed-bit fast path; every registered miner returns identical results,
-see DESIGN.md §6).
+packed-bit fast path; every miner returns identical results, see
+DESIGN.md §6).
 """
 
 from __future__ import annotations

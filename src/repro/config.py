@@ -75,8 +75,8 @@ class MiningConfig:
         min_support: Relative support threshold (fraction of recipes).
         max_size: Optional cap on itemset size; ``None`` mines all sizes.
             The paper mines "size 1 and greater" with no stated cap.
-        algorithm: Mining algorithm name registered in
-            :mod:`repro.analysis.itemsets`.
+        algorithm: Mining algorithm name, one of
+            :func:`repro.analysis.itemsets.available_algorithms`.
     """
 
     min_support: float = PAPER.combination_min_support
@@ -90,6 +90,14 @@ class MiningConfig:
             )
         if self.max_size is not None and self.max_size < 1:
             raise ValueError(f"max_size must be >= 1, got {self.max_size}")
+        # Imported here: the analysis package imports this module.
+        from repro.analysis.itemsets import available_algorithms
+
+        if self.algorithm not in available_algorithms():
+            raise ValueError(
+                f"algorithm must be one of {list(available_algorithms())}, "
+                f"got {self.algorithm!r}"
+            )
 
 
 DEFAULT_MINING = MiningConfig()

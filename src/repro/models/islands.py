@@ -38,10 +38,6 @@ dispatchable model: its result is a pure function of
 through :func:`~repro.runtime.runner.dispatch_requests` (thread /
 process / distributed backends), where consecutive same-seed members
 regroup into single archipelago executions.
-
-The legacy
-:class:`~repro.models.extensions.horizontal.HorizontalExchangeSimulation`
-is a thin compat wrapper over a full-mesh topology.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Mining is a pure function of ``(transactions, mining config)``: the same
 recipe pool mined at the same support always yields the same frequent
-itemsets, whatever produced the pool and whichever registered miner ran.
+itemsets, whatever produced the pool and whichever miner ran.
 That makes mined curves content-addressable — the key is a SHA-256 over
 
 * a fingerprint of the exact transactions mined
@@ -156,8 +156,8 @@ def curve_key(
 
     The key covers every input that changes the *output* of mining:
     the transaction content, the support threshold and the size cap.
-    ``mining.algorithm`` is deliberately excluded — every registered
-    miner returns identical results (the equality contract of
+    ``mining.algorithm`` is deliberately excluded — every miner
+    returns identical results (the equality contract of
     DESIGN.md §6, pinned in ``tests/analysis/test_itemsets_bitset.py``)
     — so a cache warmed with one miner serves every other, e.g. a CLI
     ``bitset`` sweep warms a library caller on the ``eclat`` default.

@@ -1140,7 +1140,7 @@ class ColumnarCorpus:
         """Mine one cuisine over its packed planes (zero object path).
 
         Returns a :class:`~repro.analysis.itemsets.MiningResult`
-        bit-identical to running any registered miner over
+        bit-identical to running any miner over
         ``dataset.cuisine(code).as_id_sets()``.
         """
         from repro.analysis.itemsets_bitset import mine_packed

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from repro.analysis.itemsets import (
     CATEGORY_INDEX,
-    apriori,
+    available_algorithms,
     bruteforce,
     category_from_index,
     category_transactions,
     eclat,
-    fpgrowth,
     ingredient_transactions,
     mine_frequent_itemsets,
 )
@@ -64,8 +63,8 @@ def test_min_support_one_returns_universal_sets():
 
 
 def test_empty_transactions():
-    for miner in (eclat, apriori, bruteforce):
-        result = miner([], min_support=0.5)
+    for algorithm in available_algorithms():
+        result = mine_frequent_itemsets([], 0.5, algorithm)
         assert len(result) == 0
         assert result.n_transactions == 0
 
@@ -74,7 +73,7 @@ def test_invalid_support_rejected():
     with pytest.raises(MiningError):
         eclat(TRANSACTIONS, min_support=0.0)
     with pytest.raises(MiningError):
-        apriori(TRANSACTIONS, min_support=1.5)
+        bruteforce(TRANSACTIONS, min_support=1.5)
 
 
 def test_unknown_algorithm():
@@ -109,37 +108,17 @@ def transactions_strategy(draw):
 @given(transactions_strategy(), st.floats(0.05, 1.0))
 @settings(max_examples=100, deadline=None)
 def test_all_miners_agree(transactions, min_support):
-    a = _as_dict(eclat(transactions, min_support))
-    b = _as_dict(apriori(transactions, min_support))
-    c = _as_dict(bruteforce(transactions, min_support))
-    d = _as_dict(fpgrowth(transactions, min_support))
-    assert a == b == c == d
+    assert _as_dict(eclat(transactions, min_support)) == _as_dict(
+        bruteforce(transactions, min_support)
+    )
 
 
 @given(transactions_strategy(), st.floats(0.1, 1.0), st.integers(1, 4))
 @settings(max_examples=60, deadline=None)
 def test_miners_agree_with_max_size(transactions, min_support, max_size):
-    a = _as_dict(eclat(transactions, min_support, max_size=max_size))
-    b = _as_dict(apriori(transactions, min_support, max_size=max_size))
-    c = _as_dict(bruteforce(transactions, min_support, max_size=max_size))
-    d = _as_dict(fpgrowth(transactions, min_support, max_size=max_size))
-    assert a == b == c == d
-
-
-def test_fpgrowth_hand_computed():
-    result = fpgrowth(TRANSACTIONS, min_support=0.5)
-    assert _as_dict(result) == {
-        (1,): 4, (2,): 4, (3,): 4,
-        (1, 2): 3, (1, 3): 3, (2, 3): 3,
-    }
-    assert result.algorithm == "fpgrowth"
-
-
-def test_fpgrowth_on_real_cuisine_matches_eclat(small_corpus):
-    transactions = ingredient_transactions(small_corpus.cuisine("KOR"))
-    a = _as_dict(eclat(transactions, 0.05))
-    b = _as_dict(fpgrowth(transactions, 0.05))
-    assert a == b
+    assert _as_dict(
+        eclat(transactions, min_support, max_size=max_size)
+    ) == _as_dict(bruteforce(transactions, min_support, max_size=max_size))
 
 
 @given(transactions_strategy())

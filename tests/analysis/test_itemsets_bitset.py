@@ -1,8 +1,10 @@
-"""Cross-engine property tests: bitset Eclat == every reference miner.
+"""Cross-engine property tests: bitset Eclat == the reference miners.
 
 The bitset engine's contract (DESIGN.md §6) is *exact* equality with the
-pure-Python miners — same itemsets, same supports, same
-``(-support, size, items)`` rank order — on any input.  These tests pin
+pure-Python ``eclat`` reference and the ``bruteforce`` oracle, for both
+entry points (:func:`bitset_eclat` and :func:`mine_packed`) — same
+itemsets, same supports, same ``(-support, size, items)`` rank order —
+on any input.  These tests pin
 that over randomized transaction sets spanning sizes, densities and
 ``max_size`` caps, plus the degenerate shapes that break bit-matrix
 code (empty input, empty transactions, single transaction, items with
@@ -13,16 +15,15 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.analysis.itemsets import (
     available_algorithms,
     mine_frequent_itemsets,
 )
-from repro.analysis.itemsets_bitset import bitset_eclat
+from repro.analysis.itemsets_bitset import bitset_eclat, mine_packed
 from repro.errors import MiningError
-
-REFERENCE_ALGORITHMS = ("eclat", "apriori", "fpgrowth", "bruteforce")
 
 
 def _random_transactions(
@@ -51,9 +52,22 @@ def _skewed_transactions(
     return transactions
 
 
+def _pack(transactions):
+    universe = sorted({item for t in transactions for item in t})
+    dense = np.zeros((len(universe), len(transactions)), dtype=np.uint8)
+    position = {item: row for row, item in enumerate(universe)}
+    for column, transaction in enumerate(transactions):
+        for item in transaction:
+            dense[position[item], column] = 1
+    return (
+        np.packbits(dense, axis=1),
+        np.asarray(universe, dtype=np.int64),
+        len(transactions),
+    )
+
+
 def test_bitset_is_registered():
-    assert "bitset" in available_algorithms()
-    assert set(REFERENCE_ALGORITHMS) <= set(available_algorithms())
+    assert available_algorithms() == ("bitset", "bruteforce", "eclat")
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -65,15 +79,24 @@ def test_bitset_equals_all_miners_randomized(seed):
     transactions = _random_transactions(rng, n, n_items, density)
     min_support = rng.choice([0.02, 0.05, 0.1, 0.3, 0.75])
     max_size = rng.choice([None, 1, 2, 3])
-    expected = mine_frequent_itemsets(
-        transactions, min_support, "eclat", max_size=max_size
-    )
-    for algorithm in ("bitset", "apriori", "fpgrowth", "bruteforce"):
-        result = mine_frequent_itemsets(
+    references = [
+        mine_frequent_itemsets(
             transactions, min_support, algorithm, max_size=max_size
         )
-        assert result.itemsets == expected.itemsets, (seed, algorithm)
-        assert result.n_transactions == expected.n_transactions
+        for algorithm in ("eclat", "bruteforce")
+    ]
+    fast_paths = {
+        "bitset": mine_frequent_itemsets(
+            transactions, min_support, "bitset", max_size=max_size
+        ),
+        "mine_packed": mine_packed(
+            *_pack(transactions), min_support, max_size=max_size
+        ),
+    }
+    for name, result in fast_paths.items():
+        for reference in references:
+            assert result.itemsets == reference.itemsets, (seed, name)
+            assert result.n_transactions == reference.n_transactions
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -138,6 +161,23 @@ def test_bitset_invalid_support():
         bitset_eclat([{1}], 1.5)
 
 
+@pytest.mark.parametrize("max_size", [0, -1])
+@pytest.mark.parametrize(
+    "miner", [*available_algorithms(), "mine_packed"]
+)
+def test_max_size_below_one_rejected(miner, max_size):
+    # Every miner rejects the cap alike instead of some returning the
+    # singletons and others nothing (the DESIGN.md §6 equality contract).
+    transactions = [{1, 2}, {1, 3}, {1, 2, 3}]
+    with pytest.raises(MiningError):
+        if miner == "mine_packed":
+            mine_packed(*_pack(transactions), 0.5, max_size=max_size)
+        else:
+            mine_frequent_itemsets(
+                transactions, 0.5, miner, max_size=max_size
+            )
+
+
 def test_unknown_algorithm_lists_bitset():
     with pytest.raises(MiningError) as excinfo:
         mine_frequent_itemsets([{1}], 0.5, "no-such-miner")
@@ -149,25 +189,7 @@ def test_unknown_algorithm_lists_bitset():
 # ---------------------------------------------------------------------------
 
 
-def _pack(transactions):
-    import numpy as np
-
-    universe = sorted({item for t in transactions for item in t})
-    dense = np.zeros((len(universe), len(transactions)), dtype=np.uint8)
-    position = {item: row for row, item in enumerate(universe)}
-    for column, transaction in enumerate(transactions):
-        for item in transaction:
-            dense[position[item], column] = 1
-    return (
-        np.packbits(dense, axis=1),
-        np.asarray(universe, dtype=np.int64),
-        len(transactions),
-    )
-
-
 def test_mine_packed_matches_bitset_eclat():
-    from repro.analysis.itemsets_bitset import mine_packed
-
     rng = random.Random(5)
     transactions = [
         frozenset(rng.sample(range(20), rng.randint(2, 8))) for _ in range(60)
@@ -180,8 +202,6 @@ def test_mine_packed_matches_bitset_eclat():
 
 
 def test_mine_packed_respects_max_size():
-    from repro.analysis.itemsets_bitset import mine_packed
-
     transactions = [frozenset({1, 2, 3, 4})] * 10
     matrix, item_ids, n = _pack(transactions)
     result = mine_packed(matrix, item_ids, n, min_support=0.5, max_size=2)
@@ -189,10 +209,6 @@ def test_mine_packed_respects_max_size():
 
 
 def test_mine_packed_validates_inputs():
-    import numpy as np
-
-    from repro.analysis.itemsets_bitset import mine_packed
-
     matrix = np.zeros((2, 1), dtype=np.uint8)
     with pytest.raises(MiningError):  # descending item ids
         mine_packed(matrix, np.array([5, 3]), 4, min_support=0.5)
@@ -203,10 +219,6 @@ def test_mine_packed_validates_inputs():
 
 
 def test_mine_packed_empty():
-    import numpy as np
-
-    from repro.analysis.itemsets_bitset import mine_packed
-
     result = mine_packed(
         np.zeros((0, 0), dtype=np.uint8), np.array([], dtype=np.int64),
         0, min_support=0.5,

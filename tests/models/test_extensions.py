@@ -4,12 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ModelError, ParameterError
+from repro.errors import ParameterError
 from repro.lexicon.categories import Category
-from repro.models.copy_mutate import CopyMutateCategory, CopyMutateRandom
-from repro.models.extensions.horizontal import HorizontalExchangeSimulation
 from repro.models.extensions.variable_size import VariableSizeCopyMutate
-from repro.models.null_model import NullModel
 from repro.models.params import CuisineSpec
 
 
@@ -60,138 +57,3 @@ def test_variable_size_invalid_probabilities():
         VariableSizeCopyMutate(p_insert=-0.1)
     with pytest.raises(ParameterError):
         VariableSizeCopyMutate(min_size=10, max_size=5)
-
-
-# ---------------------------------------------------------------------------
-# Horizontal exchange
-# ---------------------------------------------------------------------------
-
-
-def test_horizontal_coevolution_targets():
-    sim = HorizontalExchangeSimulation(CopyMutateRandom(), exchange_rate=0.2)
-    outcome = sim.run([_spec("A"), _spec("B", n_recipes=60)], seed=3)
-    assert outcome.runs["A"].n_recipes == 100
-    assert outcome.runs["B"].n_recipes == 60
-    assert outcome.runs["A"].model_name == "HX(CM-R)"
-
-
-def test_horizontal_borrowing_happens():
-    sim = HorizontalExchangeSimulation(CopyMutateRandom(), exchange_rate=0.5)
-    outcome = sim.run([_spec("A"), _spec("B")], seed=4)
-    assert sum(outcome.borrow_events.values()) > 0
-
-
-def test_zero_exchange_rate_no_borrowing():
-    sim = HorizontalExchangeSimulation(CopyMutateRandom(), exchange_rate=0.0)
-    outcome = sim.run([_spec("A"), _spec("B")], seed=5)
-    assert sum(outcome.borrow_events.values()) == 0
-
-
-def test_horizontal_with_category_inner_model():
-    sim = HorizontalExchangeSimulation(CopyMutateCategory(), exchange_rate=0.3)
-    outcome = sim.run([_spec("A"), _spec("B")], seed=6)
-    assert outcome.runs["A"].n_recipes == 100
-
-
-def test_horizontal_recipes_use_known_ingredients():
-    """Borrowed recipes are filtered to the borrower's universe."""
-    spec_a = _spec("A", n_ingredients=30)
-    spec_b = CuisineSpec(
-        region_code="B",
-        ingredient_ids=tuple(range(20, 60)),
-        categories=tuple(
-            list(Category)[:4][i % 4] for i in range(40)
-        ),
-        avg_recipe_size=6.0,
-        n_recipes=80,
-        phi=0.5,
-    )
-    sim = HorizontalExchangeSimulation(CopyMutateRandom(), exchange_rate=0.6)
-    outcome = sim.run([spec_a, spec_b], seed=7)
-    universe_a = set(spec_a.ingredient_ids)
-    for transaction in outcome.runs["A"].transactions:
-        assert set(transaction) <= universe_a
-
-
-def test_horizontal_requires_copy_mutate_inner():
-    with pytest.raises(ModelError):
-        HorizontalExchangeSimulation(NullModel())
-
-
-def test_horizontal_requires_two_cuisines():
-    sim = HorizontalExchangeSimulation(CopyMutateRandom())
-    with pytest.raises(ModelError):
-        sim.run([_spec("A")], seed=0)
-
-
-def test_horizontal_distinct_codes_required():
-    sim = HorizontalExchangeSimulation(CopyMutateRandom())
-    with pytest.raises(ModelError):
-        sim.run([_spec("A"), _spec("A")], seed=0)
-
-
-def test_horizontal_invalid_rate():
-    with pytest.raises(ParameterError):
-        HorizontalExchangeSimulation(CopyMutateRandom(), exchange_rate=1.5)
-
-
-# ---------------------------------------------------------------------------
-# Regression: the two bugs the old inline exchange loop shipped with
-# ---------------------------------------------------------------------------
-
-
-def test_regression_tiny_pool_borrow_does_not_hang():
-    """The old borrow-refill loop drew pool ingredients and rejected
-    duplicates until the mother matched the donor recipe's length — an
-    infinite spin whenever the borrower's pool held fewer distinct
-    ingredients than the donor recipe was long.  Refills now cap at the
-    pool size and the mother truncates, so this completes."""
-    categories = list(Category)[:4]
-    tiny = CuisineSpec(
-        region_code="TINY",
-        ingredient_ids=tuple(range(4)),
-        categories=tuple(categories[i % 4] for i in range(4)),
-        avg_recipe_size=3.0,
-        n_recipes=40,
-        phi=0.8,  # n0 = round(20 / 0.8) = 25 < 40: real recipe steps
-    )
-    donor = _spec("BIG", n_ingredients=40, n_recipes=100)  # 6-ingredient recipes
-    sim = HorizontalExchangeSimulation(CopyMutateRandom(), exchange_rate=0.9)
-    outcome = sim.run([tiny, donor], seed=11)
-    assert outcome.borrow_events["TINY"] > 0  # the hang path was exercised
-    assert outcome.runs["TINY"].n_recipes == 40
-    pool = set(outcome.pools["TINY"])
-    assert len(pool) <= 4
-    for transaction in outcome.runs["TINY"].transactions:
-        # Truncated mothers never exceed the borrower's pool.
-        assert set(transaction) <= pool
-
-
-def test_regression_borrowed_mothers_respect_pool_accounting():
-    """The old loop filtered borrowed mothers against the borrower's raw
-    *universe*, so foreign-but-known ingredients entered transactions
-    without ever joining the pool — breaking the transactions ⊆ pool
-    invariant and the m/n bookkeeping.  They now route through
-    ``adopt_ingredient`` and are counted in ``ingredients_added``."""
-    categories = list(Category)[:4]
-    spec_a = _spec("A", n_ingredients=30)
-    spec_b = CuisineSpec(
-        region_code="B",
-        ingredient_ids=tuple(range(20, 60)),  # overlaps A on 20..29
-        categories=tuple(categories[i % 4] for i in range(40)),
-        avg_recipe_size=6.0,
-        n_recipes=80,
-        phi=0.5,
-    )
-    sim = HorizontalExchangeSimulation(CopyMutateRandom(), exchange_rate=0.6)
-    outcome = sim.run([spec_a, spec_b], seed=7)
-    assert sum(outcome.borrow_events.values()) > 0
-    for code, run in outcome.runs.items():
-        pool = set(outcome.pools[code])
-        for transaction in run.transactions:
-            assert set(transaction) <= pool
-        # Pool growth stays fully accounted: every ingredient beyond the
-        # initial pool (min(20, universe)) was counted as added, whether
-        # it arrived via ∂-growth or adoption from a borrowed mother.
-        initial = min(20, len({"A": spec_a, "B": spec_b}[code].ingredient_ids))
-        assert run.final_pool_size == initial + run.trace.ingredients_added

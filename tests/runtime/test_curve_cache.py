@@ -39,7 +39,7 @@ def test_curve_key_covers_mining_config_and_kind():
 
 
 def test_curve_key_algorithm_agnostic():
-    # Every registered miner returns identical results (the DESIGN.md §6
+    # Every miner returns identical results (the DESIGN.md §6
     # equality contract), so entries are shared across algorithms: a
     # bitset-warmed cache serves the eclat default and vice versa.
     fp = transactions_fingerprint(TXNS)

@@ -46,7 +46,13 @@ def test_mining_config_rejects_bad_max_size():
         MiningConfig(max_size=0)
 
 
+def test_mining_config_rejects_unknown_algorithm():
+    # Rejected up front, not only on a cold cache in the middle of mining.
+    with pytest.raises(ValueError):
+        MiningConfig(algorithm="no-such-miner")
+
+
 def test_mining_config_accepts_valid():
-    config = MiningConfig(min_support=0.1, max_size=3, algorithm="apriori")
+    config = MiningConfig(min_support=0.1, max_size=3, algorithm="bitset")
     assert config.min_support == 0.1
     assert config.max_size == 3

@@ -1,9 +1,9 @@
 """Structural checks on the example scripts.
 
-The examples are full runs (seconds to a minute each) so CI-speed tests
-only verify they compile, import their dependencies correctly, and
-follow the repository's conventions (main() entry point, module
-docstring, deterministic seed).
+The examples are full runs (2–4 s each), executed by CI's "Examples
+run" step; these tier-1 tests only verify they compile, import their
+dependencies correctly, and follow the repository's conventions (main()
+entry point, module docstring, deterministic seed).
 """
 
 from __future__ import annotations
