@@ -151,12 +151,11 @@ def _runtime_from_args(args: argparse.Namespace) -> RuntimeConfig:
         distributed = DistributedConfig(
             spool_dir=args.spool_dir,
             local_workers=args.local_workers,
-            checkpoint_every=args.checkpoint_every,
         )
     return RuntimeConfig(
         backend=args.backend, jobs=args.jobs, cache_dir=args.cache_dir,
         distributed=distributed,
-        checkpoint_every=None if distributed else args.checkpoint_every,
+        checkpoint_every=args.checkpoint_every,
     )
 
 

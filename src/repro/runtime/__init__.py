@@ -21,9 +21,13 @@ swappable concern:
   snapshots (:class:`CheckpointStore` / :class:`RunCheckpointer`) so
   an interrupted run resumes bit-identically from its latest valid
   snapshot instead of replaying from step 0 (DESIGN.md §9);
-* :mod:`~repro.runtime.integrity` — structured, queryable
-  :class:`CacheCorruption` records for every corrupt entry a store
+* :mod:`~repro.runtime.integrity` — durable writes, plus a
+  :class:`CacheCorruption` record for every corrupt entry a store
   evicts or quarantines;
+* :mod:`~repro.runtime.events` — the one in-process event log behind
+  :func:`backend_degradations`, :func:`cache_corruptions`,
+  :func:`task_attempts` and ``events(ResumeEvent)`` (:func:`events`,
+  reset by :func:`clear_events`);
 * :mod:`~repro.runtime.spool_tools` — spool telemetry and debris
   compaction behind ``repro spool stats|compact``;
 * :mod:`~repro.runtime.runner` — deterministic run execution
@@ -64,8 +68,6 @@ from repro.runtime.checkpoint import (
     CheckpointStore,
     ResumeEvent,
     RunCheckpointer,
-    clear_resume_events,
-    resume_events,
 )
 from repro.runtime.config import BACKENDS, DistributedConfig, RuntimeConfig
 from repro.runtime.curve_cache import (
@@ -81,11 +83,16 @@ from repro.runtime.distributed import (
     Spool,
     TaskAttempt,
     WorkerSummary,
-    clear_task_attempts,
     run_worker,
     signal_stop,
     task_attempts,
 )
+from repro.runtime.degradation import (
+    BackendDegradation,
+    BackendDegradationWarning,
+    backend_degradations,
+)
+from repro.runtime.events import clear_events, events
 from repro.runtime.executor import (
     Executor,
     ProcessExecutor,
@@ -98,16 +105,11 @@ from repro.runtime.integrity import (
     CacheCorruption,
     CacheCorruptionWarning,
     cache_corruptions,
-    clear_cache_corruptions,
 )
 from repro.runtime.runner import (
     ArchipelagoRequest,
-    BackendDegradation,
-    BackendDegradationWarning,
     BatchRequest,
     RunRequest,
-    backend_degradations,
-    clear_backend_degradations,
     execute_archipelago,
     execute_batch,
     execute_request,
@@ -173,12 +175,10 @@ __all__ = [
     "WorkerSummary",
     "backend_degradations",
     "cache_corruptions",
-    "clear_backend_degradations",
-    "clear_cache_corruptions",
-    "clear_resume_events",
-    "clear_task_attempts",
+    "clear_events",
     "compact_spool",
     "curve_key",
+    "events",
     "execute_archipelago",
     "execute_batch",
     "execute_request",
@@ -190,7 +190,6 @@ __all__ = [
     "parallel_map",
     "plan_cells",
     "plan_grid",
-    "resume_events",
     "run_fingerprint",
     "run_worker",
     "select_regions",

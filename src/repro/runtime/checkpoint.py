@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.errors import RunCacheError
+from repro.runtime.events import record
 from repro.runtime.faults import FAULT_KILL_EXIT_CODE
 from repro.runtime.integrity import (
     atomic_write, quarantine, sweep, unpickle_or_quarantine,
@@ -55,10 +56,8 @@ __all__ = [
     "ResumeEvent",
     "RunCheckpointer",
     "arm_kill_at_step",
-    "clear_resume_events",
     "consume_armed_kill",
     "disarm_kill",
-    "resume_events",
 ]
 
 #: Bump when the snapshot wrapper layout or any engine's snapshot
@@ -125,6 +124,10 @@ class CheckpointPolicy:
 class ResumeEvent:
     """One observed resume: a run continued from a snapshot.
 
+    Recorded in the runtime event log (:mod:`repro.runtime.events`);
+    the distributed worker reads ``events(ResumeEvent)`` to stamp
+    ``resumed_from_step`` onto result payloads.
+
     Attributes:
         key: The run's checkpoint key.
         step: Engine step the snapshot was taken at.
@@ -134,25 +137,9 @@ class ResumeEvent:
     step: int
 
 
-#: Resumes observed in this process, in observation order — queryable
-#: like :func:`~repro.runtime.distributed.task_attempts`, and read by
-#: the distributed worker to stamp ``resumed_from_step`` onto result
-#: payloads.
-_RESUME_EVENTS: list[ResumeEvent] = []
-
 #: Step at which the next checkpointer built in this process must kill
 #: it (the ``kill_at_step`` fault seam); ``None`` = disarmed.
 _ARMED_KILL_STEP: int | None = None
-
-
-def resume_events() -> tuple[ResumeEvent, ...]:
-    """Every snapshot resume recorded so far, in observation order."""
-    return tuple(_RESUME_EVENTS)
-
-
-def clear_resume_events() -> None:
-    """Reset the resume record (tests; long-lived services)."""
-    _RESUME_EVENTS.clear()
 
 
 def arm_kill_at_step(step: int) -> None:
@@ -427,7 +414,7 @@ class RunCheckpointer:
         step, payload = found
         self._loaded_step = step
         self.resumed_from_step = step
-        _RESUME_EVENTS.append(ResumeEvent(key=self._key, step=step))
+        record(ResumeEvent(key=self._key, step=step))
         return payload
 
     def after_step(self, step: int, capture: Callable[[], object]) -> None:

@@ -10,27 +10,28 @@ Degrading is the right call — results still arrive, bit-identical — but
 it must never be silent: throughput quietly collapses otherwise, and
 the operator has no signal to fix the cause.
 
-So every degradation is (a) warned once per callable via
-:class:`BackendDegradationWarning`, and (b) recorded as a structured
-:class:`BackendDegradation`, queryable after the run via
-:func:`backend_degradations` — the pattern PR 5 introduced for the
-process→thread case, extracted here so the distributed backend can
-report through the same channel without importing the runner (which
-would cycle: executor → distributed → runner → executor).
+So every degradation is (a) recorded as a structured
+:class:`BackendDegradation` in the runtime event log
+(:mod:`repro.runtime.events`), queryable after the run via
+:func:`backend_degradations`, and (b) warned once per (requested
+backend, callable) via :class:`BackendDegradationWarning`.  It lives
+here, not in the runner, so the distributed backend can report through
+the same channel without importing the runner (which would cycle:
+executor → distributed → runner → executor).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
+
+from repro.runtime.events import events, record
 
 __all__ = [
     "BackendDegradation",
     "BackendDegradationWarning",
     "backend_degradations",
     "callable_name",
-    "clear_backend_degradations",
     "record_degradation",
 ]
 
@@ -57,19 +58,9 @@ class BackendDegradation:
     reason: str
 
 
-#: Degradations observed in this process, one entry per distinct
-#: callable — the structured record behind the one-time warning.
-_DEGRADATIONS: dict[str, BackendDegradation] = {}
-
-
 def backend_degradations() -> tuple[BackendDegradation, ...]:
     """Every backend degradation recorded so far, in observation order."""
-    return tuple(_DEGRADATIONS.values())
-
-
-def clear_backend_degradations() -> None:
-    """Reset the degradation record (tests; long-lived services)."""
-    _DEGRADATIONS.clear()
+    return events(BackendDegradation)
 
 
 def callable_name(fn: Callable) -> str:
@@ -87,7 +78,7 @@ def record_degradation(
     reason: str,
     hint: str,
 ) -> None:
-    """Record a degradation and warn once per (callable, requested) pair.
+    """Record a degradation; warn once per (requested, callable) pair.
 
     Args:
         fn: The mapped callable (keyed by qualified name).
@@ -97,18 +88,18 @@ def record_degradation(
         hint: One actionable sentence appended to the warning telling
             the operator how to get the requested backend back.
     """
-    key = f"{requested}:{callable_name(fn)}"
-    if key in _DEGRADATIONS:
-        return
-    _DEGRADATIONS[key] = BackendDegradation(
-        callable_name=callable_name(fn),
-        requested=requested,
-        effective=effective,
-        reason=reason,
-    )
-    warnings.warn(
-        f"backend={requested!r} degraded to {effective!r} for "
-        f"{callable_name(fn)}: {reason}; {hint}",
-        BackendDegradationWarning,
+    name = callable_name(fn)
+    record(
+        BackendDegradation(
+            callable_name=name,
+            requested=requested,
+            effective=effective,
+            reason=reason,
+        ),
+        warning=BackendDegradationWarning(
+            f"backend={requested!r} degraded to {effective!r} for "
+            f"{name}: {reason}; {hint}"
+        ),
+        warn_key=(requested, name),
         stacklevel=4,
     )

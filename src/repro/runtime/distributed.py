@@ -64,7 +64,8 @@ from repro.runtime.executor import (
     ProcessExecutor,
     SerialExecutor,
 )
-from repro.runtime.checkpoint import disarm_kill, resume_events
+from repro.runtime.checkpoint import ResumeEvent, disarm_kill
+from repro.runtime.events import events, record
 from repro.runtime.faults import FaultPlan, inject_fault
 from repro.runtime.integrity import atomic_write
 
@@ -77,7 +78,6 @@ __all__ = [
     "TaskLease",
     "WorkerSummary",
     "backoff_delay",
-    "clear_task_attempts",
     "run_worker",
     "signal_stop",
     "task_attempts",
@@ -458,20 +458,9 @@ class TaskAttempt:
     resumed_from_step: int | None = None
 
 
-#: Attempts observed in this process, in observation order — the
-#: structured record the ISSUE's "queryable after the run" asks for
-#: (mirrors :func:`~repro.runtime.degradation.backend_degradations`).
-_TASK_ATTEMPTS: list[TaskAttempt] = []
-
-
 def task_attempts() -> tuple[TaskAttempt, ...]:
     """Every distributed task attempt recorded so far, in order."""
-    return tuple(_TASK_ATTEMPTS)
-
-
-def clear_task_attempts() -> None:
-    """Reset the attempt record (tests; long-lived services)."""
-    _TASK_ATTEMPTS.clear()
+    return events(TaskAttempt)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +603,7 @@ def run_worker(
                     if spec is not None:
                         inject_fault(spec)
                 started = time.perf_counter()
-                events_before = len(resume_events())
+                resumes_before = len(events(ResumeEvent))
                 try:
                     task: SpoolTask = pickle.loads(claim_path.read_bytes())
                     value = task.fn(task.item)
@@ -635,7 +624,7 @@ def run_worker(
                 # ResumeEvent; surface the (latest) resumed step on the
                 # result payload so the coordinator's TaskAttempt ledger
                 # shows mid-run recovery, not just re-execution.
-                resumed = resume_events()[events_before:]
+                resumed = events(ResumeEvent)[resumes_before:]
                 payload.update(
                     worker=worker_id,
                     attempt=int(attempt_tag[1:]),
@@ -846,12 +835,12 @@ class _MapSession:
         return f"{self._nonce}-{index:05d}"
 
     def _record(self, attempt: TaskAttempt) -> None:
-        _TASK_ATTEMPTS.append(attempt)
+        record(attempt)
         try:
             with self._spool.attempts_path.open("a", encoding="utf-8") as f:
                 f.write(json.dumps(attempt.__dict__, sort_keys=True) + "\n")
         except OSError:
-            pass  # the registry is authoritative; the file is advisory
+            pass  # the event log is authoritative; the file is advisory
 
     # -- protocol steps ----------------------------------------------
 

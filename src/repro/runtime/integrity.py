@@ -9,13 +9,12 @@ and an older one used — but survival used to be silent, which made a
 poisoned shared cache look exactly like a cold one: sweeps quietly
 recompute everything and nobody learns the disk is eating data.
 
-So every corruption observation is (a) warned once per (store, kind)
-via :class:`CacheCorruptionWarning`, and (b) recorded as a structured
-:class:`CacheCorruption`, queryable after the run via
-:func:`cache_corruptions` — the same visible-degradation contract as
-:mod:`repro.runtime.degradation`, in its own module because the cache
-layer cannot import the runner-adjacent degradation module's consumers
-without cycling.
+So every corruption observation is (a) recorded as a structured
+:class:`CacheCorruption` in the runtime event log
+(:mod:`repro.runtime.events`), queryable after the run via
+:func:`cache_corruptions`, and (b) warned once per (store, kind) via
+:class:`CacheCorruptionWarning` — the same visible-degradation contract
+as :mod:`repro.runtime.degradation`.
 
 Every store also writes, reads, quarantines and sweeps through the
 helpers below (DESIGN.md §9, "Durable writes").
@@ -27,19 +26,18 @@ import contextlib
 import os
 import pickle
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
 from repro.errors import RunCacheError
+from repro.runtime.events import events, record
 
 __all__ = [
     "CacheCorruption",
     "CacheCorruptionWarning",
     "atomic_write",
     "cache_corruptions",
-    "clear_cache_corruptions",
     "quarantine",
     "record_corruption",
     "sweep",
@@ -78,22 +76,9 @@ class CacheCorruption:
     action: str
 
 
-#: Every corruption observed in this process, in observation order.
-_CORRUPTIONS: list[CacheCorruption] = []
-
-#: (store, kind) pairs already warned about — the once-per-cause gate.
-_WARNED: set[tuple[str, str]] = set()
-
-
 def cache_corruptions() -> tuple[CacheCorruption, ...]:
     """Every cache corruption recorded so far, in observation order."""
-    return tuple(_CORRUPTIONS)
-
-
-def clear_cache_corruptions() -> None:
-    """Reset the corruption record (tests; long-lived services)."""
-    _CORRUPTIONS.clear()
-    _WARNED.clear()
+    return events(CacheCorruption)
 
 
 def record_corruption(
@@ -117,22 +102,21 @@ def record_corruption(
         detail: Underlying error, verbatim.
         action: ``"removed"``, ``"quarantined"`` or ``"left in place"``.
     """
-    record = CacheCorruption(
+    corruption = CacheCorruption(
         store=store, path=str(path), kind=kind, detail=detail, action=action
     )
-    _CORRUPTIONS.append(record)
-    key = (store, kind)
-    if key not in _WARNED:
-        _WARNED.add(key)
-        warnings.warn(
+    record(
+        corruption,
+        warning=CacheCorruptionWarning(
             f"{store} found a corrupt entry ({kind}: {detail}) at {path} "
             f"and {action} it; further occurrences are recorded silently "
             "— query repro.runtime.cache_corruptions() and check the "
-            "backing disk if the count grows",
-            CacheCorruptionWarning,
-            stacklevel=3,
-        )
-    return record
+            "backing disk if the count grows"
+        ),
+        warn_key=(store, kind),
+        stacklevel=3,
+    )
+    return corruption
 
 
 def temp_path(path: str | Path) -> Path:

@@ -22,7 +22,7 @@ import pickle
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
-from repro.errors import RunCacheError
+from repro.errors import ExecutionError, RunCacheError
 from repro.rng import rng_from_seed
 from repro.runtime.cache import RunCache, fingerprint_many, run_fingerprint
 from repro.runtime.checkpoint import (
@@ -32,13 +32,7 @@ from repro.runtime.checkpoint import (
     consume_armed_kill,
 )
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.degradation import (
-    BackendDegradation,
-    BackendDegradationWarning,
-    backend_degradations,
-    clear_backend_degradations,
-    record_degradation,
-)
+from repro.runtime.degradation import record_degradation
 from repro.runtime.executor import get_executor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -47,12 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "ArchipelagoRequest",
-    "BackendDegradation",
-    "BackendDegradationWarning",
     "BatchRequest",
     "RunRequest",
-    "backend_degradations",
-    "clear_backend_degradations",
     "execute_archipelago",
     "execute_batch",
     "execute_request",
@@ -62,11 +52,6 @@ __all__ = [
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-# Degradation records live in repro.runtime.degradation (shared with the
-# distributed backend, which cannot import this module without cycling);
-# re-exported here because this is where PR 5 introduced them.
 
 
 def _record_degradation(
@@ -499,7 +484,6 @@ def dispatch_requests(
     keys: Sequence[str] | None,
     config: RuntimeConfig,
     cache: RunCache | None,
-    checkpoint_every: int | None = None,
 ) -> tuple[list["EvolutionRun"], list[int]]:
     """Serve requests from cache, dispatch the misses, write fresh runs back.
 
@@ -520,19 +504,27 @@ def dispatch_requests(
         requests: The work items, in result order.
         keys: Cache key per request (aligned), or ``None`` to skip the
             cache entirely.
-        config: Backend/jobs selection.
+        config: Backend/jobs selection, and ``checkpoint_every``: the
+            snapshot period in engine steps (DESIGN.md §9).  Snapshots
+            live beside the run cache, in its directory.
         cache: Cache instance; ``None`` disables lookups and writes.
-        checkpoint_every: Snapshot every N engine steps (DESIGN.md §9);
-            ``None`` falls back to ``config.resolve_checkpoint_every()``
-            and ``0`` disables.  Checkpoints need a durable home, so
-            the policy only attaches when a cache is configured — the
-            snapshots live beside the run cache in its directory.
 
     Returns:
         ``(results, dispatched)``: results aligned with ``requests``,
         plus the indices that were executed rather than served from
         cache.
+
+    Raises:
+        ExecutionError: If ``config.checkpoint_every`` is set without a
+            cache: no snapshot could be written, so the run would have
+            no crash-resume although the caller asked for it.
     """
+    if config.checkpoint_every and cache is None:
+        raise ExecutionError(
+            f"checkpoint_every={config.checkpoint_every} needs a run cache "
+            "to hold its snapshots: set a cache directory (--cache-dir "
+            "on the command line)"
+        )
     results: list["EvolutionRun | None"] = [None] * len(requests)
     pending: list[int] = []
     if cache is not None and keys is not None:
@@ -548,14 +540,9 @@ def dispatch_requests(
     if pending:
         executor = get_executor(config)
         work = _plan_work(requests, pending)
-        every = (
-            checkpoint_every
-            if checkpoint_every is not None
-            else config.resolve_checkpoint_every()
-        )
-        if every and cache is not None:
+        if config.checkpoint_every:
             policy = CheckpointPolicy(
-                directory=str(cache.directory), every=every
+                directory=str(cache.directory), every=config.checkpoint_every
             )
             work = [replace(item, checkpoint=policy) for item in work]
         # Under the distributed backend the *workers* write fresh runs
@@ -663,11 +650,12 @@ def parallel_map(
     front together with the first item — or a later item/result that
     fails to pickle mid-map) degrades to the thread backend; the
     degradation is no longer silent: a one-time
-    :class:`BackendDegradationWarning` names the callable and the
-    pickling error, and the event is recorded
-    (:func:`backend_degradations`).  Map work must therefore be
-    effect-free: the mid-map fallback re-runs the whole batch on
-    threads (exactly what every call did before process support).
+    :class:`~repro.runtime.degradation.BackendDegradationWarning` names
+    the callable and the pickling error, and every occurrence is
+    recorded (:func:`~repro.runtime.degradation.backend_degradations`).
+    Map work must therefore be effect-free: the mid-map fallback
+    re-runs the whole batch on threads (exactly what every call did
+    before process support).
 
     Args:
         fn: The mapped callable.  Must be module-level (and its items

@@ -124,26 +124,14 @@ class SweepPlan:
         cells: Cells in plan order — the order their seeds were drawn
             from the root generator, and the order results come back.
         record_history: Forwarded to every run.
-        engine: Per-run engine override forwarded to every run
-            (``"reference"``, ``"vectorized"`` or ``"batched"``;
-            ``None``: each cell's model decides via ``params.engine``).
-            Carried on the plan so one grid can be re-executed on
-            another engine without rebuilding the models, and so the
-            cache keys of a sweep cover the engine its runs actually
-            used.  Under ``"batched"`` the dispatcher stacks each
-            cell's uncached runs into one pass (DESIGN.md §7); models
-            without batched support (CM-V) degrade to vectorized.
-        checkpoint_every: Snapshot each dispatched run's engine state
-            every N steps (DESIGN.md §9).  ``None`` defers to the
-            runtime config at execution time; carried on the plan so a
-            long sweep's resumability policy travels with the grid.
-            Like the engine override it never enters cache keys.
+
+    Each cell's model chooses its engine (``params.engine``, set via
+    ``create_model(name, engine=...)``); the checkpoint period comes
+    from the runtime config at execution time.
     """
 
     cells: tuple[SweepCell, ...]
     record_history: bool = False
-    engine: str | None = None
-    checkpoint_every: int | None = None
 
     @property
     def n_cells(self) -> int:
@@ -161,7 +149,6 @@ class SweepPlan:
                 spec=cell.spec,
                 seed=seed,
                 record_history=self.record_history,
-                engine=self.engine,
             )
             for cell in self.cells
             for seed in cell.seeds
@@ -173,8 +160,6 @@ def plan_cells(
     n_runs: int,
     seed: SeedLike = None,
     record_history: bool = False,
-    engine: str | None = None,
-    checkpoint_every: int | None = None,
 ) -> SweepPlan:
     """Draw per-run seeds for an ordered sequence of (model, spec) cells.
 
@@ -190,11 +175,6 @@ def plan_cells(
         seed: Root seed or generator; a passed generator is advanced
             exactly as the per-cell path would advance it.
         record_history: Forwarded to every run.
-        engine: Per-run engine override forwarded to every run
-            (``"reference"``, ``"vectorized"`` or ``"batched"``; see
-            :class:`SweepPlan`).
-        checkpoint_every: Snapshot period in engine steps (see
-            :class:`SweepPlan`); ``None`` defers to the runtime config.
 
     Raises:
         ExecutionError: If ``n_runs < 1``.
@@ -211,8 +191,6 @@ def plan_cells(
             for model, spec in cells
         ),
         record_history=record_history,
-        engine=engine,
-        checkpoint_every=checkpoint_every,
     )
 
 
@@ -222,8 +200,6 @@ def plan_grid(
     n_runs: int,
     seed: SeedLike = None,
     record_history: bool = False,
-    engine: str | None = None,
-    checkpoint_every: int | None = None,
 ) -> SweepPlan:
     """Plan the full cuisine-major (model × cuisine) grid.
 
@@ -237,11 +213,6 @@ def plan_grid(
         n_runs: Runs per (model, cuisine) cell.
         seed: Root seed or generator.
         record_history: Forwarded to every run.
-        engine: Per-run engine override forwarded to every run
-            (``"reference"``, ``"vectorized"`` or ``"batched"``; see
-            :class:`SweepPlan`).
-        checkpoint_every: Snapshot period in engine steps (see
-            :class:`SweepPlan`); ``None`` defers to the runtime config.
 
     Raises:
         ExecutionError: On an empty model or cuisine axis.
@@ -256,8 +227,6 @@ def plan_grid(
         n_runs=n_runs,
         seed=seed,
         record_history=record_history,
-        engine=engine,
-        checkpoint_every=checkpoint_every,
     )
 
 
@@ -387,14 +356,10 @@ def execute_sweep(
             key
             for cell in plan.cells
             for key in fingerprint_many(
-                cell.model, cell.spec, cell.seeds, plan.record_history,
-                plan.engine,
+                cell.model, cell.spec, cell.seeds, plan.record_history
             )
         ]
-    results, dispatched = dispatch_requests(
-        requests, keys, config, cache,
-        checkpoint_every=plan.checkpoint_every,
-    )
+    results, dispatched = dispatch_requests(requests, keys, config, cache)
 
     dispatched_set = set(dispatched)
     cells = tuple(

@@ -21,6 +21,8 @@ from repro.lexicon.builder import standard_lexicon
 from repro.lexicon.categories import Category
 from repro.lexicon.ingredient import Ingredient
 from repro.lexicon.lexicon import Lexicon
+from repro.runtime.checkpoint import disarm_kill
+from repro.runtime.events import clear_events
 from repro.synthesis.worldgen import WorldKitchen
 
 #: True when the suite runs in fast mode (``REPRO_FAST=1``).
@@ -107,3 +109,15 @@ def tiny_dataset(tiny_lexicon: Lexicon) -> RecipeDataset:
             Recipe(7, "KOR", (0, 5, 6, 9)),
         ]
     )
+
+
+@pytest.fixture(autouse=True)
+def _clean_runtime_state() -> None:
+    """Start every test with an empty runtime event log and no armed kill.
+
+    The log (:mod:`repro.runtime.events`) and the ``kill_at_step``
+    fault seam are process-global, so one test's events, warned keys
+    or armed kill would otherwise leak into the next.
+    """
+    clear_events()
+    disarm_kill()

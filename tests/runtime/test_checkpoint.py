@@ -16,18 +16,20 @@ import pickle
 
 import pytest
 
-from repro.errors import RunCacheError
+from repro.errors import ExecutionError, RunCacheError
+from repro.models.registry import create_model
 from repro.runtime import (
     CHECKPOINT_FORMAT_VERSION,
     CacheCorruptionWarning,
     CheckpointPolicy,
     CheckpointStore,
     RunCache,
+    ResumeEvent,
     RunCheckpointer,
+    RuntimeConfig,
     cache_corruptions,
-    clear_cache_corruptions,
-    clear_resume_events,
-    resume_events,
+    events,
+    execute_runs,
 )
 from repro.runtime.checkpoint import (
     KEEP_SNAPSHOTS,
@@ -36,17 +38,6 @@ from repro.runtime.checkpoint import (
     consume_armed_kill,
     disarm_kill,
 )
-
-
-@pytest.fixture(autouse=True)
-def _clean_records():
-    clear_cache_corruptions()
-    clear_resume_events()
-    disarm_kill()
-    yield
-    clear_cache_corruptions()
-    clear_resume_events()
-    disarm_kill()
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +232,7 @@ def test_checkpointer_resume_skips_resnapshot_of_loaded_step(tmp_path):
     cp = RunCheckpointer(store, "run", every=3)
     assert cp.load() == {"at": 6}
     assert cp.resumed_from_step == 6
-    assert resume_events()[-1].step == 6
+    assert events(ResumeEvent)[-1].step == 6
     captured = []
     # Steps at or before the loaded step must not re-snapshot (capture
     # would be wasted work; worse, it would churn retention).
@@ -278,3 +269,20 @@ def test_arm_consume_disarm_latch():
     assert consume_armed_kill() is None
     with pytest.raises(RunCacheError, match=">= 1"):
         arm_kill_at_step(0)
+
+
+# ---------------------------------------------------------------------------
+# Dispatch: a checkpoint period needs a run cache
+# ---------------------------------------------------------------------------
+
+
+def test_checkpoint_every_without_cache_is_an_error(tiny_spec, monkeypatch):
+    def _no_engine(*_args, **_kwargs):
+        raise AssertionError("no run may start without a snapshot home")
+
+    monkeypatch.setattr("repro.runtime.runner._execute_work", _no_engine)
+    with pytest.raises(ExecutionError, match="cache"):
+        execute_runs(
+            create_model("CM-R"), tiny_spec, [1, 2],
+            runtime=RuntimeConfig(checkpoint_every=5),
+        )

@@ -50,7 +50,6 @@ from repro.runtime import (
     RunCache,
     Spool,
     cache_corruptions,
-    clear_cache_corruptions,
     compact_spool,
     execute_runs,
 )
@@ -280,14 +279,13 @@ def _check_corruption(store: Durable, mutation: tuple) -> bool:
         if mutated == raw:
             return False
         path.write_bytes(mutated)
-        clear_cache_corruptions()
+        before = len(cache_corruptions())
 
         try:
             value = store.get(directory)
         except store.error:
             value = MISS
-        events = cache_corruptions()
-        clear_cache_corruptions()
+        events = cache_corruptions()[before:]
 
         if value is MISS:
             assert [event.store for event in events] == [store.name]

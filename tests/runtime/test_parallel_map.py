@@ -10,7 +10,6 @@ from repro.runtime import (
     BackendDegradationWarning,
     RuntimeConfig,
     backend_degradations,
-    clear_backend_degradations,
     parallel_map,
 )
 
@@ -29,13 +28,6 @@ def _call_thunk(thunk):
 
 def _forty_two() -> int:
     return 42
-
-
-@pytest.fixture(autouse=True)
-def _clean_degradation_log():
-    clear_backend_degradations()
-    yield
-    clear_backend_degradations()
 
 
 def test_picklable_fn_keeps_process_backend():
@@ -66,13 +58,14 @@ def test_closure_degrades_with_one_time_warning():
     assert events[0].reason  # the pickling error is recorded verbatim
     assert "closure" in events[0].callable_name
 
-    # Second use of the same callable: silent (one-time), still threads.
+    # Second use of the same callable: silent (one-time), still threads,
+    # and recorded again — the log counts occurrences.
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert parallel_map(closure, [3], runtime=config) == [13]
-    assert len(backend_degradations()) == 1
+    assert len(backend_degradations()) == 2
 
 
 def test_lambda_degrades_and_records():

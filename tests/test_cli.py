@@ -156,6 +156,22 @@ def test_sweep_mine_requires_cache_dir(capsys):
     assert "--cache-dir" in capsys.readouterr().err
 
 
+def test_sweep_checkpoint_every_requires_cache_dir(capsys, monkeypatch):
+    # Without a cache the snapshots have nowhere to go: the sweep must
+    # fail before any engine step instead of silently not checkpointing.
+    def _no_engine(*_args, **_kwargs):
+        raise AssertionError("no engine step may run")
+
+    monkeypatch.setattr("repro.runtime.runner._execute_work", _no_engine)
+    code = main([
+        "sweep", "--regions", "KOR", "--models", "CM-R", "--runs", "2",
+        "--scale", "0.02", "--checkpoint-every", "1",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--cache-dir" in err
+
+
 def test_sweep_rejects_unknown_model():
     with pytest.raises(SystemExit):
         main(["sweep", "--models", "CM-X"])
