@@ -12,10 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.analysis.mae import pairwise_distance_matrix
-from repro.analysis.rank_frequency import RankFrequencyCurve, curve_from_counts
+from repro.analysis.rank_frequency import (
+    RankFrequencyCurve,
+    _linear_fit,
+    curve_from_counts,
+)
 from repro.corpus.dataset import CuisineView, RecipeDataset
 from repro.errors import AnalysisError
 
@@ -89,11 +92,11 @@ def fit_zipf(curve: RankFrequencyCurve) -> ZipfFit:
     ranks = np.arange(1, len(frequencies) + 1, dtype=float)[positive]
     log_rank = np.log(ranks)
     log_freq = np.log(frequencies[positive])
-    fit = scipy_stats.linregress(log_rank, log_freq)
+    slope, intercept, r = _linear_fit(log_rank, log_freq)
     return ZipfFit(
-        exponent=-float(fit.slope),
-        intercept=float(fit.intercept),
-        r_squared=float(fit.rvalue**2),
+        exponent=-float(slope),
+        intercept=float(intercept),
+        r_squared=float(r**2),
         n_ranks=int(positive.sum()),
     )
 

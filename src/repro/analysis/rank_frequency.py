@@ -93,6 +93,23 @@ def curve_from_counts(
     return RankFrequencyCurve(label, values / n_transactions)
 
 
+def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line ``y = intercept + slope * x`` for the log-log fits.
+
+    Returns ``(slope, intercept, r)`` from the 1/n covariance matrix, the
+    same operations in the same order as the classic ``linregress``, so
+    ``tests/analysis/test_fit_golden.py`` pins the fits bit for bit.
+    ``r`` is NaN when ``y`` is constant; ``x`` must not be constant.
+    """
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    slope = ssxym / ssxm
+    return slope, y.mean() - slope * x.mean(), r
+
+
 def average_curves(
     curves: Sequence[RankFrequencyCurve], label: str
 ) -> RankFrequencyCurve:

@@ -3,7 +3,7 @@
 The paper reports that recipe sizes are Gaussian-like, bounded in
 [2, 38], mean ≈ 9, and that the per-cuisine histograms are homogeneous.
 This module computes the per-cuisine and aggregate histograms plus a
-Gaussian fit (via scipy) so the ``fig1`` experiment can report both the
+Gaussian fit so the ``fig1`` experiment can report both the
 curves and the fitted parameters.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.corpus.dataset import RecipeDataset
 from repro.errors import AnalysisError
@@ -70,14 +69,17 @@ def size_distribution(sizes: np.ndarray, label: str) -> SizeDistribution:
     if sizes.size == 0:
         raise AnalysisError(f"no sizes to analyze for {label!r}")
     values, counts = np.unique(sizes, return_counts=True)
-    mu, sigma = scipy_stats.norm.fit(sizes)
+    # The normal's maximum-likelihood fit is the sample mean and the 1/n
+    # standard deviation, so the fit and the summary statistics coincide.
+    mu = sizes.mean()
+    sigma = np.sqrt(((sizes - mu) ** 2).mean())
     return SizeDistribution(
         label=label,
         sizes=values.astype(np.int64),
         counts=counts.astype(np.int64),
         fractions=counts / counts.sum(),
-        mean=float(sizes.mean()),
-        std=float(sizes.std()),
+        mean=float(mu),
+        std=float(sigma),
         min_size=int(values.min()),
         max_size=int(values.max()),
         gaussian_mu=float(mu),
