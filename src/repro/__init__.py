@@ -16,11 +16,11 @@ Quickstart::
 
 Subpackages: :mod:`repro.lexicon` (ingredient dictionary + aliasing),
 :mod:`repro.corpus` (recipes, regions, ETL), :mod:`repro.storage`
-(indexes/queries), :mod:`repro.synthesis` (calibrated corpus generator),
-:mod:`repro.flavor` (FlavorDB stand-in), :mod:`repro.analysis` (Secs.
-III-IV metrics and mining), :mod:`repro.models` (Sec. V evolution
-models), :mod:`repro.experiments` (per-table/figure drivers),
-:mod:`repro.runtime` (parallel ensemble execution + run caching).
+(inverted indexes + columnar container), :mod:`repro.synthesis`
+(calibrated corpus generator), :mod:`repro.analysis` (Secs. III-IV
+metrics and mining), :mod:`repro.models` (Sec. V evolution models),
+:mod:`repro.experiments` (per-table/figure drivers), :mod:`repro.runtime`
+(parallel ensemble execution + run caching).
 """
 
 from repro.analysis import (
@@ -47,11 +47,6 @@ from repro.corpus import (
     save_jsonl,
 )
 from repro.errors import ReproError
-from repro.generation import (
-    GeneratedRecipe,
-    GenerationConstraints,
-    RecipeGenerator,
-)
 from repro.lexicon import (
     Category,
     Ingredient,
@@ -69,12 +64,6 @@ from repro.models import (
     PAPER_MODELS,
     create_model,
     run_ensemble,
-)
-from repro.nutrition import (
-    NutritionTable,
-    build_nutrition_table,
-    health_score,
-    nutrition_fitness,
 )
 from repro.runtime import (
     CurveCache,
@@ -113,13 +102,6 @@ __all__ = [
     "load_jsonl",
     "save_jsonl",
     "ReproError",
-    "GeneratedRecipe",
-    "GenerationConstraints",
-    "RecipeGenerator",
-    "NutritionTable",
-    "build_nutrition_table",
-    "health_score",
-    "nutrition_fitness",
     "Category",
     "Ingredient",
     "Lexicon",

@@ -114,8 +114,7 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
             "simulation engine for model runs (default: vectorized; "
             "'reference' runs the scalar executable-spec loop; "
             "'batched' stacks same-cell runs into one pass, "
-            "bit-identical to vectorized — CM-V falls back to "
-            "vectorized)"
+            "bit-identical to vectorized)"
         ),
     )
     parser.add_argument(

@@ -19,7 +19,6 @@ __all__ = [
     "EmptyCorpusError",
     "SerializationError",
     "StorageError",
-    "QueryError",
     "SynthesisError",
     "CalibrationError",
     "AnalysisError",
@@ -107,10 +106,6 @@ class SerializationError(CorpusError):
 
 class StorageError(ReproError):
     """A problem inside the indexed recipe store."""
-
-
-class QueryError(StorageError):
-    """A malformed or unsatisfiable store query."""
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ class ExperimentContext:
             ``"batched"``); ``None`` keeps each model's default
             (vectorized).  ``"batched"`` executes each ensemble's
             uncached runs as one stacked pass, bit-identical to
-            vectorized (CM-V degrades to vectorized; DESIGN.md §7).
+            vectorized (DESIGN.md §7).
             Part of the run cache key, so switching engines never
             replays another engine's cached runs.
     """

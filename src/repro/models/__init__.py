@@ -36,7 +36,6 @@ from repro.models.islands import (
 )
 from repro.models.fitness import (
     FitnessStrategy,
-    RankBiasedFitness,
     ScoredFitness,
     UniformFitness,
 )
@@ -53,7 +52,6 @@ from repro.models.state import (
     EvolutionState,
     EvolutionTraceCounters,
 )
-from repro.models.statistics import EnsembleStatistics, summarize_ensemble
 from repro.models.vectorized import (
     VECTORIZED_STREAM_VERSION,
     run_vectorized,
@@ -89,7 +87,6 @@ __all__ = [
     "ensemble_curves",
     "run_ensemble",
     "FitnessStrategy",
-    "RankBiasedFitness",
     "ScoredFitness",
     "UniformFitness",
     "NullModel",
@@ -101,6 +98,4 @@ __all__ = [
     "register_model",
     "EvolutionState",
     "EvolutionTraceCounters",
-    "EnsembleStatistics",
-    "summarize_ensemble",
 ]

@@ -22,8 +22,8 @@ replays the same dynamics over array-backed state with batched RNG
 draws; the ``"batched"`` engine (:mod:`repro.models.batched`) stacks a
 whole same-cell ensemble and advances every run together, bit-identical
 to ``"vectorized"`` run for run.  Models opt in by declaring
-``vectorized_kind`` on their class; unsupported requests degrade down
-the chain (batched → vectorized → reference) automatically.
+``vectorized_kind`` on their class; any other class runs the
+reference engine whatever was requested.
 """
 
 from __future__ import annotations
@@ -145,14 +145,10 @@ class CulinaryEvolutionModel(abc.ABC):
             engine: Per-run override; ``None`` uses ``params.engine``.
 
         Returns:
-            ``"batched"``, ``"vectorized"`` or ``"reference"``.
-            Requests degrade along the capability chain instead of
-            erroring: a batched request resolves to ``"vectorized"``
-            when the model's kind cannot be run-stacked (CM-V's
-            variable-length recipes), and a vectorized (or degraded
-            batched) request resolves to ``"reference"`` when the
-            model's class does not declare ``vectorized_kind`` itself
-            (extensions with custom recipe steps).
+            ``"batched"``, ``"vectorized"`` or ``"reference"``.  A
+            class that declares ``vectorized_kind`` itself runs the
+            requested engine; any other class (a subclass with a custom
+            recipe step) runs ``"reference"``.
 
         Raises:
             ModelError: On an unknown engine name.
@@ -162,14 +158,7 @@ class CulinaryEvolutionModel(abc.ABC):
             raise ModelError(
                 f"unknown engine {requested!r}; available: {ENGINES}"
             )
-        kind = type(self).__dict__.get("vectorized_kind")
-        if requested == "batched":
-            from repro.models.batched import BATCHED_KINDS
-
-            if kind in BATCHED_KINDS:
-                return "batched"
-            requested = "vectorized"
-        if requested == "vectorized" and kind is None:
+        if type(self).__dict__.get("vectorized_kind") is None:
             return "reference"
         return requested
 
@@ -227,9 +216,7 @@ class CulinaryEvolutionModel(abc.ABC):
             engine: Per-run engine override (default:
                 ``params.engine``): ``"reference"``, ``"vectorized"``
                 or ``"batched"`` — the last two are supported by the
-                four paper models, while CM-V supports ``"vectorized"``
-                only (a batched request on it degrades there); see
-                :meth:`resolve_engine`.
+                four paper models; see :meth:`resolve_engine`.
             checkpointer: Optional
                 :class:`repro.runtime.checkpoint.RunCheckpointer` for
                 crash-consistent periodic snapshots and bit-identical
@@ -316,7 +303,7 @@ class CopyMutateBase(CulinaryEvolutionModel):
     where CM-R, CM-C and CM-M differ.
 
     Two public seams exist for engines that supply their own mother
-    recipe (the island engine, extensions):
+    recipe (the island engine):
 
     * :meth:`mutate_recipe` — copy a given mother and apply the full
       M-mutation loop, consuming exactly the draws the standard recipe
@@ -382,7 +369,7 @@ class CopyMutateBase(CulinaryEvolutionModel):
         """Pick the candidate ``j`` from the pool, or ``None`` to skip.
 
         Public wrapper around the variant hook — the one supported
-        mutation seam for extensions and the island engine.
+        mutation seam for subclasses and the island engine.
         """
         return self._choose_replacement(state, victim, rng)
 

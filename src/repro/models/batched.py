@@ -33,11 +33,10 @@ order, yields the same per-run results — which is what keeps per-run
 results individually cacheable (:data:`BATCHED_STREAM_VERSION` is the
 stream-contract version the run-cache key carries).
 
-Models opt in through their ``vectorized_kind``: the copy-mutate kinds
-(``"pool"``/``"category"``/``"mixture"``) and ``"null"`` are supported
-(:data:`BATCHED_KINDS`); CM-V's variable-length recipes have no fixed
-row width to stack, so a batched request on it resolves to the
-vectorized engine instead (see
+Models opt in through their ``vectorized_kind``: every vectorized kind
+— the copy-mutate kinds (``"pool"``/``"category"``/``"mixture"``) and
+``"null"`` — can be stacked (:data:`BATCHED_KINDS`); a class without
+one runs the reference engine instead (see
 :meth:`repro.models.base.CulinaryEvolutionModel.resolve_engine`).
 """
 
@@ -75,9 +74,8 @@ __all__ = [
 #: then key differently instead of replaying a stale stream.
 BATCHED_STREAM_VERSION = 1
 
-#: ``vectorized_kind`` values the batched engine can stack.  CM-V's
-#: ``"variable"`` kind is absent: its recipes change length, so there is
-#: no fixed row width to lay the ensemble out on.
+#: ``vectorized_kind`` values the batched engine can stack: every kind
+#: the vectorized engine runs.
 BATCHED_KINDS = ("pool", "category", "mixture", "null")
 
 #: Largest number of recipe steps resolved in one array pass.  Bounds
@@ -350,8 +348,7 @@ def run_batched(
         each bit-identical to the same run under ``engine="vectorized"``.
 
     Raises:
-        ModelError: If the model's kind cannot be stacked (unset, or
-            CM-V's variable-length ``"variable"`` kind).
+        ModelError: If the model class declares no ``vectorized_kind``.
     """
     from repro.models.base import EvolutionRun
 

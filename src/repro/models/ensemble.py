@@ -339,8 +339,8 @@ def run_ensemble(
             ``"vectorized"`` or ``"batched"``; ``None`` keeps the
             model's ``params.engine``).  The whole ensemble is one
             same-cell group, so an engine that resolves to
-            ``"batched"`` — the four paper models; CM-V degrades to
-            vectorized — executes the uncached runs as one stacked
+            ``"batched"`` — every model that declares a vectorized
+            kind — executes the uncached runs as one stacked
             pass instead of ``n_runs`` dispatches (DESIGN.md §7).
 
     Returns:

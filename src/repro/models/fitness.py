@@ -4,9 +4,7 @@ The paper samples every ingredient's fitness from Uniform(0, 1) and
 interprets it as "worthiness ... based on intrinsic properties such as
 cost, availability, and nutritional content".  :class:`UniformFitness` is
 that default; :class:`ScoredFitness` grounds the interpretation by
-letting callers supply explicit scores (the dietary-intervention example
-uses it with nutrition scores), and :class:`RankBiasedFitness` supports
-ablations where fitness correlates with empirical popularity.
+letting callers supply explicit per-ingredient scores.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ __all__ = [
     "FitnessStrategy",
     "UniformFitness",
     "ScoredFitness",
-    "RankBiasedFitness",
 ]
 
 
@@ -81,35 +78,3 @@ class ScoredFitness:
             raw = raw + rng.uniform(-self.jitter, self.jitter, size=raw.size)
         return np.clip(raw, 0.0, 1.0)
 
-
-@dataclass(frozen=True)
-class RankBiasedFitness:
-    """Fitness decreasing with a supplied popularity rank (ablation aid).
-
-    Ranks are normalized by the largest provided rank, then
-    ``fitness = (1 - rank/(max_rank + 1)) ** gamma`` plus uniform noise,
-    so low ranks (popular ingredients) receive high fitness.  Ingredients
-    absent from ``ranks`` get the worst rank.  With ``gamma=0`` the rank
-    signal vanishes and only the noise term remains.
-    """
-
-    ranks: Mapping[int, int]
-    gamma: float = 1.0
-    noise: float = 0.1
-
-    def assign(
-        self, ingredient_ids: Sequence[int], rng: np.random.Generator
-    ) -> np.ndarray:
-        if self.gamma < 0 or self.noise < 0:
-            raise ModelError("gamma and noise must be >= 0")
-        max_rank = max(self.ranks.values(), default=0)
-        scale = float(max_rank + 1)
-        base = np.array(
-            [
-                (1.0 - self.ranks.get(i, max_rank) / scale) ** self.gamma
-                for i in ingredient_ids
-            ]
-        )
-        return np.clip(
-            base + rng.uniform(0.0, self.noise, size=base.size), 0.0, 1.0
-        )

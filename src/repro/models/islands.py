@@ -346,7 +346,7 @@ class IslandSimulation:
             shares.  Borrowed mothers are mutated through the model's
             public :meth:`~CopyMutateBase.mutate_recipe` seam; local
             steps run the model's own recipe step, so variant behavior
-            (CM-C categories, CM-V insert/delete moves) is preserved.
+            (CM-C categories, CM-M mixtures) is preserved.
         specs: One :class:`CuisineSpec` per island; distinct region
             codes required.  Spec order fixes the round-robin stepping
             order.

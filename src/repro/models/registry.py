@@ -1,8 +1,8 @@
 """Model registry: paper names -> model factories.
 
-The four Sec. V models register here; extensions add themselves on
-import.  Experiments and the CLI look models up by their paper names
-("CM-R", "CM-C", "CM-M", "NM").
+The four Sec. V models register here; other models can add themselves
+with :func:`register_model`.  Experiments and the CLI look models up by
+their paper names ("CM-R", "CM-C", "CM-M", "NM").
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def create_model(name: str, **kwargs) -> CulinaryEvolutionModel:
 
 
 def register_model(name: str, factory: ModelFactory) -> None:
-    """Register a new model (used by extensions).
+    """Register a new model under ``name``.
 
     Raises:
         ModelError: If the name is already taken by a different factory.

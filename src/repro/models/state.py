@@ -6,8 +6,8 @@ fitness, and the pool-ratio bookkeeping (∂ = m/n vs φ):
 
 * :class:`EvolutionState` — the **reference** representation.  Its public
   surface speaks ingredient *ids* (recipes are lists of ids, draws
-  return ids) because the scalar loop and the extensions
-  (:mod:`repro.models.extensions`) are written in id space.  Internally
+  return ids) because the scalar loop and the island engine are
+  written in id space.  Internally
   fitness and category live in dense position-indexed arrays — a single
   id→position index replaces the old per-quantity dicts — and
   per-category pool membership is a contiguous list per category code.

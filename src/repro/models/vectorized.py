@@ -216,23 +216,10 @@ def run_vectorized(
 
     # Per-step draw layout for the copy-mutate kinds:
     #   [mother, M victim positions, M candidate selectors, (M coins)]
-    # CM-V's "variable" kind draws a fixed
-    #   [mother, M move coins, M positions, M selectors]
-    # block instead, discarding the draws its taken branch does not use
-    # — a fixed layout keeps the stream contract simple even though the
-    # reference engine consumes a variable number of draws per move.
     category_mode = kind == "category"
     mixture_mode = kind == "mixture"
     null_mode = kind == "null"
-    variable_mode = kind == "variable"
-    draws_per_step = (
-        1 + (3 if mixture_mode or variable_mode else 2) * mutations
-    )
-    if variable_mode:
-        p_insert = model.p_insert
-        p_insert_or_delete = model.p_insert + model.p_delete
-        min_size = model.min_size
-        max_size = model.max_size
+    draws_per_step = 1 + (3 if mixture_mode else 2) * mutations
 
     if snapshot is None:
         m = len(pool)
@@ -339,51 +326,6 @@ def run_vectorized(
             if checkpointer is not None:
                 checkpointer.after_step(step, _capture)
             continue
-        elif variable_mode:
-            # CM-V: the replacement step of CM-R plus size-changing
-            # insert/delete moves (paper Sec. VII future work).  Recipe
-            # length changes mid-step, so every integer draw rescales
-            # against the *current* length; size-bound violations fall
-            # through silently (no counter), matching the reference
-            # step, and in-row duplicates always reject — CM-V never
-            # honors duplicate_policy="allow".
-            u = take(draws_per_step).tolist()
-            row = recipes[int(u[0] * n)].copy()
-            for g in range(mutations):
-                attempted += 1
-                move = u[1 + g]
-                length = len(row)
-                if move < p_insert:
-                    if length >= max_size:
-                        continue
-                    candidate = pool[int(u[1 + 2 * mutations + g] * m)]
-                    if candidate in row:
-                        rejected_duplicate += 1
-                        continue
-                    row.append(candidate)
-                    accepted += 1
-                elif move < p_insert_or_delete:
-                    if length <= min_size:
-                        continue
-                    row.pop(int(u[1 + mutations + g] * length))
-                    accepted += 1
-                else:
-                    position = int(u[1 + mutations + g] * length)
-                    victim = row[position]
-                    candidate = pool[int(u[1 + 2 * mutations + g] * m)]
-                    if candidate == victim:
-                        rejected_duplicate += 1
-                        continue
-                    if fitness[candidate] <= fitness[victim]:
-                        rejected_fitness += 1
-                        continue
-                    if candidate in row:
-                        rejected_duplicate += 1
-                        continue
-                    row[position] = candidate
-                    accepted += 1
-            recipes.append(row)
-            n += 1
         else:
             u = take(draws_per_step).tolist()
             mother = recipes[int(u[0] * n)]

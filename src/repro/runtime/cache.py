@@ -58,8 +58,9 @@ __all__ = [
 #: reference and vectorized runs can never share an entry.
 #: v3: the ``"batched"`` engine landed (its own key space under
 #: ``BATCHED_STREAM_VERSION``), ``ENGINES`` grew a third member, and
-#: CM-V gained a vectorized step — keys that previously resolved to
-#: its reference engine now resolve to vectorized (DESIGN.md §7).
+#: the variable-size copy-mutate extension (since removed) gained a
+#: vectorized step — keys that previously resolved to its reference
+#: engine now resolved to vectorized (DESIGN.md §7).
 #: v4: the island engine landed (DESIGN.md §10) — the pickled payload
 #: layout changed (``EvolutionTraceCounters`` gained
 #: ``recipes_borrowed``), so pre-v4 entries would unpickle traces
@@ -156,9 +157,8 @@ def fingerprint_many(
             "name": model.name,
             # Full instance state, not just params/fitness: models may
             # carry extra behavioral knobs as plain attributes (e.g.
-            # NullModel.sample_from, CM-V's insert/delete rates), and
-            # two configurations that run differently must never share
-            # a cache key.
+            # NullModel.sample_from), and two configurations that run
+            # differently must never share a cache key.
             "state": _canonical(vars(model)),
         },
         "engine": _canonical(model.engine_contract(engine)),

@@ -607,8 +607,7 @@ def execute_runs(
             default: the model's ``params.engine``).  An engine
             resolving to ``"batched"`` executes same-cell cache
             misses as stacked group passes — bit-identical to
-            per-run vectorized execution (DESIGN.md §7); CM-V
-            degrades to vectorized.
+            per-run vectorized execution (DESIGN.md §7).
 
     Returns:
         Runs aligned with ``seeds``.

@@ -1,5 +1,5 @@
-"""Indexed recipe storage: inverted indexes, stores, conjunctive queries
-and the memory-mapped columnar corpus container (DESIGN.md §11)."""
+"""Indexed recipe storage: inverted indexes, stores and the
+memory-mapped columnar corpus container (DESIGN.md §11)."""
 
 from repro.storage.columnar import (
     COLUMNAR_FORMAT_VERSION,
@@ -17,13 +17,6 @@ from repro.storage.inverted_index import (
     intersect_pair,
     intersect_postings,
 )
-from repro.storage.query import (
-    Clause,
-    HasCategory,
-    HasIngredient,
-    Query,
-    SizeBetween,
-)
 from repro.storage.store import RecipeStore
 
 __all__ = [
@@ -39,10 +32,5 @@ __all__ = [
     "InvertedIndex",
     "intersect_pair",
     "intersect_postings",
-    "Clause",
-    "HasCategory",
-    "HasIngredient",
-    "Query",
-    "SizeBetween",
     "RecipeStore",
 ]

@@ -14,7 +14,6 @@ from repro.corpus.stats import corpus_stats
 from repro.models.ensemble import run_ensemble
 from repro.models.params import CuisineSpec
 from repro.models.registry import PAPER_MODELS, create_model
-from repro.storage.query import HasCategory, HasIngredient, Query
 from repro.storage.store import RecipeStore
 from repro.synthesis.worldgen import WorldKitchen
 
@@ -39,14 +38,10 @@ def test_raw_to_analysis_pipeline(lexicon, tmp_path):
     save_jsonl(dataset, path)
     dataset = load_jsonl(path)
 
-    # Storage and queries.
+    # Storage and support lookups.
     store = RecipeStore(dataset, lexicon)
-    olive_recipes = Query([HasIngredient("olive oil")]).count(
-        store, region_code="GRC"
-    )
-    assert olive_recipes > 0
-    spiced = Query([HasCategory("Spice")]).count(store)
-    assert spiced > 0
+    olive_oil = lexicon.get("olive oil").ingredient_id
+    assert store.support([olive_oil], region_code="GRC") > 0
 
     # Diversity analysis: Thai signatures differ from Greek ones.
     grc_top = {e.name for e in top_overrepresented(dataset, "GRC", lexicon)}

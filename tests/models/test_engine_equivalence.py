@@ -324,79 +324,6 @@ def test_unsupported_model_falls_back_to_reference():
 
 
 # ----------------------------------------------------------------------
-# CM-V: the "variable" vectorized kind (no batched support)
-# ----------------------------------------------------------------------
-
-
-def _cm_v_pair(seed, spec, record_history=False):
-    from repro.models.extensions.variable_size import VariableSizeCopyMutate
-
-    reference = VariableSizeCopyMutate(engine="reference").run(
-        spec, seed=seed, record_history=record_history
-    )
-    vectorized = VariableSizeCopyMutate(engine="vectorized").run(
-        spec, seed=seed, record_history=record_history
-    )
-    return reference, vectorized
-
-
-def test_cm_v_resolves_vectorized_and_degrades_batched():
-    """CM-V runs vectorized; a batched request degrades to vectorized."""
-    from repro.models.extensions.variable_size import VariableSizeCopyMutate
-
-    model = VariableSizeCopyMutate(engine="vectorized")
-    assert model.resolve_engine() == "vectorized"
-    assert model.resolve_engine("batched") == "vectorized"
-    spec = _spec(n_recipes=60)
-    batched_request = model.run(spec, seed=4)
-    vectorized = model.run(spec, seed=4, engine="batched")
-    assert batched_request.transactions == vectorized.transactions
-
-
-def test_cm_v_trajectories_identical():
-    """CM-V deterministic structure matches between its two engines."""
-    spec = _spec()
-    for seed in range(N_SEEDS):
-        reference, vectorized = _cm_v_pair(seed, spec, record_history=True)
-        assert reference.history == vectorized.history
-        assert reference.final_pool_size == vectorized.final_pool_size
-        assert (
-            reference.trace.mutations_attempted
-            == vectorized.trace.mutations_attempted
-        )
-
-
-def test_cm_v_sizes_drift_within_bounds_both_engines():
-    """Insert/delete moves change sizes on both engines, within [2, 38]."""
-    from repro.models.extensions.variable_size import VariableSizeCopyMutate
-
-    spec = _spec(n_ingredients=30, n_recipes=200, avg_size=6.0)
-    for engine in ("reference", "vectorized"):
-        model = VariableSizeCopyMutate(engine=engine)
-        run = model.run(spec, seed=9)
-        sizes = {len(t) for t in run.transactions}
-        assert len(sizes) > 1, f"no size drift on {engine}"
-        assert min(sizes) >= model.min_size
-        assert max(sizes) <= model.max_size
-
-
-def test_cm_v_acceptance_rates_close():
-    """CM-V acceptance rates agree across engines within tolerance."""
-    from repro.models.extensions.variable_size import VariableSizeCopyMutate
-
-    spec = _spec()
-    rates = {}
-    for engine in ("reference", "vectorized"):
-        model = VariableSizeCopyMutate(engine=engine)
-        runs = [model.run(spec, seed=1000 + seed) for seed in range(N_SEEDS)]
-        attempted = sum(run.trace.mutations_attempted for run in runs)
-        accepted = sum(run.trace.mutations_accepted for run in runs)
-        rates[engine] = accepted / attempted
-    assert rates["reference"] > 0
-    assert rates["vectorized"] == pytest.approx(rates["reference"], rel=0.15)
-
-
-# ----------------------------------------------------------------------
 # Layer 4: batched engine bit-identity (DESIGN.md §7)
 # ----------------------------------------------------------------------
 

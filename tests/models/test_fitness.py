@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.models.fitness import RankBiasedFitness, ScoredFitness, UniformFitness
+from repro.models.fitness import ScoredFitness, UniformFitness
 from repro.rng import ensure_rng
 
 
@@ -54,13 +54,3 @@ def test_scored_negative_jitter_rejected():
     with pytest.raises(ModelError):
         strategy.assign([1], ensure_rng(0))
 
-
-def test_rank_biased_orders_by_rank():
-    strategy = RankBiasedFitness(ranks={1: 0, 2: 50, 3: 99}, noise=0.0)
-    fitness = strategy.assign([1, 2, 3], ensure_rng(0))
-    assert fitness[0] > fitness[1] > fitness[2]
-
-
-def test_rank_biased_invalid_params():
-    with pytest.raises(ModelError):
-        RankBiasedFitness(ranks={}, gamma=-1).assign([1], ensure_rng(0))

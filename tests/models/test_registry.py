@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro
 from repro.errors import ModelError
 from repro.models.base import CulinaryEvolutionModel
 from repro.models.null_model import NullModel
@@ -23,10 +27,17 @@ def test_paper_models_registered():
         assert model.name == name
 
 
-def test_extensions_register_on_import():
-    import repro.models.extensions  # noqa: F401
+def test_every_registered_model_runs_batched():
+    """No model any repro module registers degrades a batched request.
 
-    assert "CM-V" in available_models()
+    This is the precondition for folding the vectorized engine into the
+    batched one: every registered model must stack, so importing every
+    module first catches a model that registers itself on import.
+    """
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        importlib.import_module(info.name)
+    for name in available_models():
+        assert create_model(name).resolve_engine("batched") == "batched", name
 
 
 def test_unknown_model():

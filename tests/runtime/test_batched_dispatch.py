@@ -22,7 +22,6 @@ import pickle
 import pytest
 
 from repro.models.batched import BatchedTransactions, run_batched
-from repro.models.extensions.variable_size import VariableSizeCopyMutate
 from repro.models.registry import create_model
 from repro.rng import ensure_rng, rng_from_seed, spawn_seeds
 from repro.runtime import (
@@ -100,8 +99,20 @@ def test_plan_work_leaves_other_engines_alone(tiny_spec):
 
 
 def test_plan_work_degrades_unbatchable_models(tiny_spec):
-    """CM-V resolves to vectorized, so its requests never group."""
-    model = VariableSizeCopyMutate()
+    """A model with no vectorized kind resolves to reference, so its
+    requests never group."""
+    from repro.models.base import CopyMutateBase
+
+    class NoKind(CopyMutateBase):
+        name = "TST-NOKIND"
+
+        def _recipe_step(self, state, rng):  # pragma: no cover - unused
+            raise NotImplementedError
+
+        def _choose_replacement(self, state, victim, rng):
+            return None  # pragma: no cover - unused
+
+    model = NoKind()
     requests = _requests(model, tiny_spec, range(3))
     work = _plan_work(requests, list(range(3)))
     assert all(isinstance(item, RunRequest) for item in work)
@@ -130,15 +141,6 @@ def test_batched_bit_identical_across_backends(tiny_spec, backend):
         runtime=RuntimeConfig(backend=backend, jobs=2),
     )
     assert _signature(serial) == _signature(parallel)
-
-
-def test_cm_v_dispatches_through_batched_request(tiny_spec):
-    """engine="batched" on CM-V silently runs vectorized, per run."""
-    model = VariableSizeCopyMutate()
-    seeds = spawn_seeds(ensure_rng(3), 3)
-    batched = execute_runs(model, tiny_spec, seeds, engine="batched")
-    vectorized = execute_runs(model, tiny_spec, seeds, engine="vectorized")
-    assert _signature(batched) == _signature(vectorized)
 
 
 # ----------------------------------------------------------------------
