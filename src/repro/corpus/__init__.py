@@ -25,6 +25,7 @@ from repro.corpus.io import (
     save_pickle,
     save_raw_jsonl,
 )
+from repro.corpus.merge import merge_datasets, reassign_ids, subsample_dataset
 from repro.corpus.recipe import RawRecipe, Recipe
 from repro.corpus.regions import (
     ALL_REGION_CODES,
@@ -58,6 +59,9 @@ __all__ = [
     "save_jsonl",
     "save_pickle",
     "save_raw_jsonl",
+    "merge_datasets",
+    "reassign_ids",
+    "subsample_dataset",
     "RawRecipe",
     "Recipe",
     "ALL_REGION_CODES",
