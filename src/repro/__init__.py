@@ -16,7 +16,7 @@ Quickstart::
 
 Subpackages: :mod:`repro.lexicon` (ingredient dictionary + aliasing),
 :mod:`repro.corpus` (recipes, regions, ETL), :mod:`repro.storage`
-(inverted indexes + columnar container), :mod:`repro.synthesis`
+(memory-mapped columnar corpus container), :mod:`repro.synthesis`
 (calibrated corpus generator), :mod:`repro.analysis` (Secs. III-IV
 metrics and mining), :mod:`repro.models` (Sec. V evolution models),
 :mod:`repro.experiments` (per-table/figure drivers), :mod:`repro.runtime`
@@ -73,7 +73,6 @@ from repro.runtime import (
     get_executor,
     parallel_map,
 )
-from repro.storage import RecipeStore
 from repro.synthesis import WorldKitchen, generate_world_corpus
 
 __version__ = "1.0.0"
@@ -122,7 +121,6 @@ __all__ = [
     "execute_runs",
     "get_executor",
     "parallel_map",
-    "RecipeStore",
     "WorldKitchen",
     "generate_world_corpus",
     "__version__",

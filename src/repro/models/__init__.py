@@ -52,7 +52,6 @@ from repro.models.state import (
     EvolutionState,
     EvolutionTraceCounters,
 )
-from repro.models.statistics import EnsembleStatistics, summarize_ensemble
 from repro.models.vectorized import (
     VECTORIZED_STREAM_VERSION,
     run_vectorized,
@@ -99,6 +98,4 @@ __all__ = [
     "register_model",
     "EvolutionState",
     "EvolutionTraceCounters",
-    "EnsembleStatistics",
-    "summarize_ensemble",
 ]

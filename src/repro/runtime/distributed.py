@@ -920,7 +920,10 @@ class _MapSession:
                     ))
             else:
                 error = payload.get("error") or "task failed"
-                if self._ledger.fail(index, error, now):
+                # A reclaimed attempt's straggler only logs its failure:
+                # the lease was requeued when it was reclaimed.
+                stale = attempt != self._ledger.lease(index).attempt
+                if stale or self._ledger.fail(index, error, now):
                     self._record(TaskAttempt(
                         task_index=index,
                         attempt=attempt,
@@ -962,18 +965,15 @@ class _MapSession:
             hb = path.with_name(
                 path.name[: -len(CLAIM_SUFFIX)] + HEARTBEAT_SUFFIX
             )
-            freshness = None
-            for probe in (hb, path):
-                try:
-                    stat = probe.stat()
-                except OSError:
-                    continue
-                freshness = max(freshness or 0.0, stat.st_mtime)
-            if freshness is None:
-                continue  # claim finished between glob and stat
             if lease.status == LEASE_PENDING:
-                self._ledger.claim(index, worker, freshness)
-            self._ledger.heartbeat(index, freshness)
+                # The rename into ``claimed`` keeps the mtime the task
+                # file got when it was spooled, so a claim is timed from
+                # when it is first seen, never from the claim file.
+                self._ledger.claim(index, worker, now)
+            try:
+                self._ledger.heartbeat(index, hb.stat().st_mtime)
+            except OSError:
+                pass  # no heartbeat yet, or the claim just finished
 
     def _reclaim(self, now: float) -> None:
         for lease in self._ledger.claimed():

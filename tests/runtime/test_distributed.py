@@ -2,7 +2,8 @@
 
 Happy-path correctness, determinism vs serial, the cache-rendezvous
 contract, retry exhaustion on deterministic task errors, the
-no-workers→process degradation, and the ``repro worker`` CLI loop.
+no-workers→process degradation, the ``repro worker`` CLI loop, and
+coordinator bookkeeping stepped by hand (claim timing, late failures).
 Failure *injection* (kill/hang/delay) lives in
 ``test_fault_injection.py``; the pure lease state machine is
 property-tested in ``test_lease_properties.py``.
@@ -11,8 +12,10 @@ property-tested in ``test_lease_properties.py``.
 from __future__ import annotations
 
 import os
+import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -35,6 +38,12 @@ from repro.runtime import (
     run_worker,
     signal_stop,
     task_attempts,
+)
+from repro.runtime.distributed import (
+    CLAIM_SUFFIX,
+    RESULT_SUFFIX,
+    TASK_SUFFIX,
+    _MapSession,
 )
 
 
@@ -333,3 +342,54 @@ def test_shared_spool_sessions_do_not_collide(tmp_path):
     assert list(spool.tasks.glob("*")) == []
     assert list(spool.claimed.glob("*")) == []
     assert list(spool.results.glob("*")) == []
+
+
+# ---------------------------------------------------------------------------
+# Coordinator bookkeeping, stepped by hand
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def session():
+    """A one-task map session with no workers, spooled and not run."""
+    config = _config(local_workers=0, lease_timeout=0.5, task_timeout=1.0)
+    session = _MapSession(_square, [3], DistributedExecutor(config))
+    session._serialize()
+    session._respool_ready(time.time())
+    yield session
+    session._cleanup()
+
+
+def test_claim_of_a_long_queued_task_is_timed_from_first_sight(session):
+    # A worker's rename keeps the mtime the task file got when it was
+    # spooled.  Seen before its first heartbeat, the claim of a task
+    # that queued past lease_timeout must not look dead.
+    now = time.time()
+    (task,) = session._spool.tasks.glob(f"*{TASK_SUFFIX}")
+    os.utime(task, (now - 60.0, now - 60.0))
+    base = task.name[: -len(TASK_SUFFIX)]
+    task.rename(session._spool.claimed / f"{base}.w0{CLAIM_SUFFIX}")
+    session._scan_claims(now)
+    session._reclaim(now)
+    assert session._ledger.lease(0).status == "claimed"
+    assert not task_attempts()
+
+
+def test_late_failure_of_a_reclaimed_attempt_is_logged_not_counted(session):
+    # The hung attempt 1 was timed out and requeued as attempt 2; its
+    # later failure is logged but must not burn attempt 2 as well.
+    now = time.time()
+    session._ledger.claim(0, "w0", now)
+    assert session._ledger.time_out(0, now + 5.0, task_timeout=1.0)
+    payload = {
+        "ok": False, "value": None, "error": "FileNotFoundError",
+        "worker": "w0", "attempt": 1, "elapsed": None,
+    }
+    result = session._spool.results / f"{session._task_id(0)}{RESULT_SUFFIX}"
+    result.write_bytes(pickle.dumps(payload))
+    session._collect_results(now + 5.0)
+    lease = session._ledger.lease(0)
+    assert (lease.attempt, lease.status) == (2, "pending")
+    assert [(a.attempt, a.outcome) for a in task_attempts()] == [
+        (1, "failed")
+    ]

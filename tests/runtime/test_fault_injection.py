@@ -113,10 +113,13 @@ def test_fault_plan_load_failures_are_loud(tmp_path):
 
 
 def test_worker_kill_is_reclaimed_and_retried():
+    # One worker makes the kill land on every run: local-0's first
+    # claim dies, and its replacement (local-1) serves the retry.
     plan = FaultPlan(faults=(
         FaultSpec(action="kill", nth_task=1, worker="local-0"),
     ))
-    result = get_executor(_config(plan)).map(_double, list(range(12)))
+    config = _config(plan, local_workers=1)
+    result = get_executor(config).map(_double, list(range(12)))
     assert result == [x * 2 for x in range(12)]
     outcomes = [a.outcome for a in task_attempts()]
     assert "lease_expired" in outcomes  # the kill was noticed...
@@ -135,11 +138,15 @@ def test_worker_kill_is_reclaimed_and_retried():
 def test_worker_hang_hits_task_timeout():
     # The hung worker's heartbeat keeps beating (it is alive, just
     # stuck), so only the per-task timeout — not lease expiry — may
-    # reclaim it.
+    # reclaim it.  One worker makes the hang land on every run: its
+    # first claim always hangs, and once the sleep ends the same worker
+    # serves the requeued attempt and the rest of the map.
     plan = FaultPlan(faults=(
-        FaultSpec(action="hang", nth_task=1, worker="local-1", seconds=30.0),
+        FaultSpec(action="hang", nth_task=1, worker="local-0", seconds=2.0),
     ))
-    config = _config(plan, task_timeout=0.3, lease_timeout=1.0)
+    config = _config(
+        plan, local_workers=1, task_timeout=0.3, lease_timeout=1.0
+    )
     result = get_executor(config).map(_double, list(range(8)))
     assert result == [x * 2 for x in range(8)]
     outcomes = [a.outcome for a in task_attempts()]
@@ -218,8 +225,6 @@ def test_distributed_kill_at_step_resumes_bit_identical(
     to an uninterrupted serial run.
     """
     model = create_model("CM-R")
-    # Enough tasks that local-0 reliably claims one before the queue
-    # drains (mirrors test_worker_kill_is_reclaimed_and_retried).
     seeds = spawn_seeds(ensure_rng(23), 12)
     serial = execute_runs(model, tiny_spec, seeds)
     plan = FaultPlan(faults=(
@@ -228,7 +233,10 @@ def test_distributed_kill_at_step_resumes_bit_identical(
     ))
     config = RuntimeConfig(
         backend="distributed", jobs=2, cache_dir=tmp_path / "cache",
-        distributed=_config(plan).distributed, checkpoint_every=2,
+        # One worker, so local-0 always claims a task (see
+        # test_worker_kill_is_reclaimed_and_retried).
+        distributed=_config(plan, local_workers=1).distributed,
+        checkpoint_every=2,
     )
     faulted = execute_runs(model, tiny_spec, seeds, runtime=config)
     assert _run_signature(faulted) == _run_signature(serial)
@@ -284,7 +292,8 @@ def test_kill_at_step_without_checkpointing_replays_from_scratch(tiny_spec):
         FaultSpec(action="kill_at_step", nth_task=1, worker="local-0",
                   at_step=2),
     ))
-    faulted = execute_runs(model, tiny_spec, seeds, runtime=_config(plan))
+    config = _config(plan, local_workers=1)  # local-0 always claims
+    faulted = execute_runs(model, tiny_spec, seeds, runtime=config)
     assert _run_signature(faulted) == _run_signature(serial)
     outcomes = [a.outcome for a in task_attempts()]
     assert "lease_expired" in outcomes
