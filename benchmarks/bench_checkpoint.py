@@ -2,7 +2,9 @@
 
 Crash-consistent checkpointing (DESIGN.md §9) buys bounded re-work on a
 mid-run death, and its price is the periodic snapshot: pickling the
-engine's full state planes plus an fsync-free atomic rename, every
+engine's state containers (recipes as incremental CSR planes, the
+buffered RNG block as the generator state it was drawn from, not its
+floats), hashing the pickle, and an fsync-free atomic rename, every
 ``checkpoint_every`` steps.  This bench times one ensemble three ways
 and pins the contract the feature must keep:
 
@@ -46,7 +48,7 @@ from repro.synthesis.worldgen import WorldKitchen
 # Overhead tripwire budget: the every=500 checkpointed pass may cost
 # at most the plain wall-clock times this slack, plus a small absolute
 # allowance for timer noise at smoke sizes.
-CHECKPOINT_SLACK = 3.0
+CHECKPOINT_SLACK = 2.0
 CHECKPOINT_NOISE_SECONDS = 0.75
 
 #: The snapshot period the tripwire judges (a realistic setting: a

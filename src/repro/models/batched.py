@@ -52,7 +52,7 @@ from repro.models.state import (
     CATEGORY_CODES,
     EvolutionTraceCounters,
 )
-from repro.models.vectorized import BLOCK_SIZE
+from repro.models.vectorized import BLOCK_SIZE, redraw_block
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.models.base import CulinaryEvolutionModel, EvolutionRun
@@ -94,10 +94,13 @@ class BatchedStreams:
     "per-run stream offsets" of DESIGN.md §7.  Every method reproduces
     the buffer's semantics run by run (refills drop the unconsumed
     tail; requests of at least a full block bypass the buffer), which
-    is what pins batched runs bit-identical to vectorized ones.
+    is what pins batched runs bit-identical to vectorized ones.  Like
+    the buffer, every refill records its run's generator state just
+    before the draw (the block's *origin*), so snapshots carry one
+    origin per run instead of the block matrix (DESIGN.md §9).
     """
 
-    __slots__ = ("_rngs", "_blocks", "_index", "_size", "_rows")
+    __slots__ = ("_rngs", "_blocks", "_index", "_size", "_rows", "_origins")
 
     def __init__(
         self, rngs: Sequence[np.random.Generator], block: int = BLOCK_SIZE
@@ -105,6 +108,7 @@ class BatchedStreams:
         self._rngs = list(rngs)
         self._size = block
         self._blocks = np.empty((len(self._rngs), block), dtype=np.float64)
+        self._origins = [rng.bit_generator.state for rng in self._rngs]
         for row, rng in enumerate(self._rngs):
             self._blocks[row] = rng.random(block)
         self._index = np.zeros(len(self._rngs), dtype=np.intp)
@@ -116,7 +120,9 @@ class BatchedStreams:
         size = self._size
         if (index >= size).any():
             for row in np.nonzero(index >= size)[0].tolist():
-                self._blocks[row] = self._rngs[row].random(size)
+                rng = self._rngs[row]
+                self._origins[row] = rng.bit_generator.state
+                self._blocks[row] = rng.random(size)
                 index[row] = 0
         u = self._blocks[self._rows, index]
         index += 1
@@ -169,6 +175,7 @@ class BatchedStreams:
         while done < takes:
             avail = (size - i) // count
             if avail == 0:
+                self._origins[row] = rng.bit_generator.state
                 self._blocks[row] = rng.random(size)
                 i = 0
                 avail = size // count
@@ -193,14 +200,16 @@ class BatchedStreams:
         return self._walk_run(row, takes, count).reshape(takes, count)
 
     def export_state(self) -> dict:
-        """Picklable snapshot of every run's block and cursor.
+        """Picklable snapshot of every run's block origin and cursor.
 
-        Generator states are excluded — the checkpoint layer snapshots
-        each ``rng.bit_generator.state`` separately (DESIGN.md §9).
+        Shares the live origin list and cursor array: the caller pickles
+        the payload before the next draw.  Current generator states are
+        excluded — the checkpoint layer snapshots each
+        ``rng.bit_generator.state`` separately (DESIGN.md §9).
         """
         return {
-            "blocks": self._blocks.copy(),
-            "index": self._index.copy(),
+            "origins": self._origins,
+            "index": self._index,
             "size": self._size,
         }
 
@@ -210,16 +219,22 @@ class BatchedStreams:
     ) -> "BatchedStreams":
         """Rebuild streams from :meth:`export_state` output.
 
-        Bypasses ``__init__`` — the constructor draws every run's first
-        block; a restored stream must resume the snapshot's blocks and
-        cursors without consuming any draws.
+        ``rngs`` must already hold the generator states captured with
+        the snapshot.  Each run's block is redrawn from its recorded
+        origin by :func:`~repro.models.vectorized.redraw_block`, which
+        leaves the generator in that captured state.  Bypasses
+        ``__init__``, which would draw fresh first blocks.
         """
         streams = object.__new__(cls)
         streams._rngs = list(rngs)
         streams._size = int(payload["size"])
-        streams._blocks = np.array(payload["blocks"], dtype=np.float64)
+        streams._origins = list(payload["origins"])
         streams._index = np.array(payload["index"], dtype=np.intp)
         streams._rows = np.arange(len(streams._rngs))
+        streams._blocks = np.stack([
+            redraw_block(rng, origin, streams._size)
+            for rng, origin in zip(streams._rngs, streams._origins)
+        ])
         return streams
 
 
@@ -488,29 +503,31 @@ def run_batched(
 
         def _capture() -> dict:
             # Reads the loop's live locals at call time; after_step only
-            # calls it when a snapshot is actually due.
+            # calls it when a snapshot is actually due, and pickles the
+            # payload before the loop moves on, so the planes are shared
+            # rather than copied.
             return {
                 "engine": "batched",
                 "step": step,
                 "rng_states": [rng.bit_generator.state for rng in rngs],
                 "streams": streams.export_state(),
-                "fitness": fitness.copy(),
-                "pool": pool.copy(),
-                "remaining": remaining.copy(),
-                "members": members.copy(),
-                "counts": counts.copy(),
-                "recipes": recipes.copy(),
-                "lengths": lengths.copy(),
+                "fitness": fitness,
+                "pool": pool,
+                "remaining": remaining,
+                "members": members,
+                "counts": counts,
+                "recipes": recipes,
+                "lengths": lengths,
                 "m": m,
                 "n": n,
                 "rem": rem,
                 "attempted": attempted,
                 "ingredients_added": ingredients_added,
-                "accepted": accepted.copy(),
-                "rejected_fitness": rejected_fitness.copy(),
-                "rejected_duplicate": rejected_duplicate.copy(),
-                "skipped_no_candidate": skipped_no_candidate.copy(),
-                "history": None if history is None else list(history),
+                "accepted": accepted,
+                "rejected_fitness": rejected_fitness,
+                "rejected_duplicate": rejected_duplicate,
+                "skipped_no_candidate": skipped_no_candidate,
+                "history": history,
             }
 
     def mutate_entries(

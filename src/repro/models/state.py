@@ -31,6 +31,7 @@ Shared invariants (enforced by the property tests):
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,6 +311,10 @@ class ArrayEvolutionState:
         "pool_by_code",
         "recipes",
         "trace",
+        "_plane_lengths",
+        "_plane_flat",
+        "_plane_rows",
+        "_plane_used",
     )
 
     def __init__(
@@ -364,6 +369,13 @@ class ArrayEvolutionState:
             for _ in range(initial_recipes)
         ]
         self.trace = EvolutionTraceCounters()
+        # Recipe CSR planes for checkpoint capture (see export_state):
+        # rows [0, _plane_rows) and positions [0, _plane_used) are
+        # already converted.
+        self._plane_lengths = np.empty(0, dtype=np.int32)
+        self._plane_flat = np.empty(0, dtype=np.int32)
+        self._plane_rows = 0
+        self._plane_used = 0
 
     @property
     def m(self) -> int:
@@ -410,21 +422,46 @@ class ArrayEvolutionState:
     # ------------------------------------------------------------------
 
     def export_state(self) -> dict:
-        """A picklable deep snapshot of the mutable state.
+        """A picklable snapshot of the mutable state, sharing live data.
 
         Everything :meth:`restore` needs that is not derivable from the
-        spec: the containers are copied (the engine keeps mutating the
-        originals after the snapshot), fitness is immutable-by-contract
-        but cheap enough to copy anyway, and the trace counters travel
-        as a plain dict.  ``category_codes`` is deliberately absent —
-        it is a pure function of the spec and is recomputed on restore.
+        spec.  Nothing is copied: the containers are the live ones, and
+        the caller must pickle the payload before the engine takes its
+        next step (the checkpointer does, synchronously).  Recipes
+        travel as CSR planes — ``recipe_lengths`` and the concatenated
+        ``recipe_flat`` positions, both int32 — built incrementally:
+        recipes are append-only and never change once appended, so each
+        call converts only the rows appended since the previous one.
+        The planes are views into growing buffers, valid until the next
+        call.  ``category_codes`` is deliberately absent — it is a pure
+        function of the spec and is recomputed on restore.
         """
+        recipes = self.recipes
+        rows = self._plane_rows
+        if len(recipes) > rows:
+            fresh = recipes[rows:]
+            lengths = np.fromiter(
+                map(len, fresh), dtype=np.int32, count=len(fresh)
+            )
+            used = self._plane_used
+            end = used + int(lengths.sum())
+            self._plane_lengths = _grown(self._plane_lengths, len(recipes))
+            self._plane_flat = _grown(self._plane_flat, end)
+            self._plane_lengths[rows : len(recipes)] = lengths
+            self._plane_flat[used:end] = np.fromiter(
+                itertools.chain.from_iterable(fresh),
+                dtype=np.int32,
+                count=end - used,
+            )
+            self._plane_rows = len(recipes)
+            self._plane_used = end
         return {
-            "fitness": list(self.fitness),
-            "pool": list(self.pool),
-            "remaining": list(self.remaining),
-            "pool_by_code": [list(members) for members in self.pool_by_code],
-            "recipes": [list(recipe) for recipe in self.recipes],
+            "fitness": self.fitness,
+            "pool": self.pool,
+            "remaining": self.remaining,
+            "pool_by_code": self.pool_by_code,
+            "recipe_lengths": self._plane_lengths[: self._plane_rows],
+            "recipe_flat": self._plane_flat[: self._plane_used],
             "trace": dataclasses.asdict(self.trace),
         }
 
@@ -434,7 +471,9 @@ class ArrayEvolutionState:
 
         Bypasses ``__init__`` entirely — the constructor consumes RNG
         draws (the pool/recipe ``choice`` sequence), and a resumed run
-        must consume *no* draws the uninterrupted run would not.
+        must consume *no* draws the uninterrupted run would not.  The
+        recipe planes are kept as the incremental-capture buffers, so
+        the next snapshot converts only rows appended after the resume.
         """
         state = object.__new__(cls)
         state.spec = spec
@@ -447,6 +486,26 @@ class ArrayEvolutionState:
         state.pool_by_code = [
             list(members) for members in payload["pool_by_code"]
         ]
-        state.recipes = [list(recipe) for recipe in payload["recipes"]]
+        lengths = np.array(payload["recipe_lengths"], dtype=np.int32)
+        flat = np.array(payload["recipe_flat"], dtype=np.int32)
+        positions = flat.tolist()
+        ends = np.cumsum(lengths).tolist()
+        state.recipes = [
+            positions[end - length : end]
+            for end, length in zip(ends, lengths.tolist())
+        ]
+        state._plane_lengths = lengths
+        state._plane_flat = flat
+        state._plane_rows = len(lengths)
+        state._plane_used = len(flat)
         state.trace = EvolutionTraceCounters(**payload["trace"])
         return state
+
+
+def _grown(array: np.ndarray, needed: int) -> np.ndarray:
+    """``array`` if it holds ``needed`` items, else a doubled copy."""
+    if needed <= len(array):
+        return array
+    grown = np.empty(max(needed, 2 * len(array)), dtype=array.dtype)
+    grown[: len(array)] = array
+    return grown

@@ -44,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "UniformBuffer",
     "VECTORIZED_STREAM_VERSION",
+    "redraw_block",
     "run_vectorized",
 ]
 
@@ -58,6 +59,21 @@ VECTORIZED_STREAM_VERSION = 1
 BLOCK_SIZE = 16384
 
 
+def redraw_block(
+    rng: np.random.Generator, origin: dict, size: int
+) -> np.ndarray:
+    """The ``size``-float block a refill drew from generator state ``origin``.
+
+    Leaves ``rng`` in the state it had before the call: snapshots
+    restore the generator's own state separately (DESIGN.md §9).
+    """
+    resume_state = rng.bit_generator.state
+    rng.bit_generator.state = origin
+    block = rng.random(size)
+    rng.bit_generator.state = resume_state
+    return block
+
+
 class UniformBuffer:
     """Block-buffered uniform [0, 1) stream over one ``Generator``.
 
@@ -66,13 +82,18 @@ class UniformBuffer:
     drop the unconsumed tail of the previous block (deterministically —
     the consumption pattern is fixed by the engine), and requests of at
     least a full block bypass the buffer.
+
+    Each refill first records the generator state it draws from (the
+    block's *origin*), so a snapshot can name the block instead of
+    carrying its :data:`BLOCK_SIZE` floats (DESIGN.md §9).
     """
 
-    __slots__ = ("_rng", "_buf", "_index", "_size")
+    __slots__ = ("_rng", "_buf", "_index", "_size", "_origin")
 
     def __init__(self, rng: np.random.Generator, block: int = BLOCK_SIZE):
         self._rng = rng
         self._size = block
+        self._origin = rng.bit_generator.state
         self._buf = rng.random(block)
         self._index = 0
 
@@ -83,6 +104,7 @@ class UniformBuffer:
         if end > self._size:
             if count >= self._size:
                 return self._rng.random(count)
+            self._origin = self._rng.bit_generator.state
             self._buf = self._rng.random(self._size)
             index, end = 0, count
         self._index = end
@@ -92,21 +114,25 @@ class UniformBuffer:
         """The next single variate as a Python float."""
         index = self._index
         if index >= self._size:
+            self._origin = self._rng.bit_generator.state
             self._buf = self._rng.random(self._size)
             index = 0
         self._index = index + 1
         return float(self._buf[index])
 
     def export_state(self) -> dict:
-        """Picklable snapshot of the buffered block and cursor.
+        """Picklable snapshot: the current block's origin and the cursor.
 
-        The generator's own state is *not* included — the checkpoint
-        layer snapshots ``rng.bit_generator.state`` separately, because
-        the generator also serves full-block bypass draws outside the
-        buffer (DESIGN.md §9).
+        The block itself is not included — :meth:`restore` redraws it
+        from ``origin``, the generator state recorded just before the
+        block was drawn.  The generator's *current* state is not
+        included either: the checkpoint layer snapshots
+        ``rng.bit_generator.state`` separately, because the generator
+        also serves full-block bypass draws outside the buffer
+        (DESIGN.md §9).
         """
         return {
-            "block": self._buf.copy(),
+            "origin": self._origin,
             "index": self._index,
             "size": self._size,
         }
@@ -117,15 +143,19 @@ class UniformBuffer:
     ) -> "UniformBuffer":
         """Rebuild a buffer from :meth:`export_state` output.
 
-        Bypasses ``__init__`` — the constructor draws a first block,
-        and a restored buffer must resume the snapshot's block and
-        cursor without consuming any draws.
+        ``rng`` must already hold the generator state captured with the
+        snapshot.  The block is redrawn from its recorded origin, and
+        the generator is then put back to that captured state, so the
+        restored buffer resumes the snapshot's block and cursor with the
+        generator exactly where the snapshot left it.  Bypasses
+        ``__init__``, which would draw a fresh first block.
         """
         buffer = object.__new__(cls)
         buffer._rng = rng
         buffer._size = int(payload["size"])
-        buffer._buf = np.array(payload["block"], dtype=np.float64)
+        buffer._origin = payload["origin"]
         buffer._index = int(payload["index"])
+        buffer._buf = redraw_block(rng, buffer._origin, buffer._size)
         return buffer
 
 
@@ -153,7 +183,7 @@ def run_vectorized(
             RunCheckpointer`.  A *step* is one loop iteration (one pool
             growth, one recipe, or one whole NM batch); after each, the
             checkpointer may snapshot the complete mid-run state —
-            generator, buffer block + cursor, state containers,
+            generator, buffer origin + cursor, state containers,
             counters, history — and a later call that finds a snapshot
             resumes from it bit-identically (DESIGN.md §9).
 
@@ -247,7 +277,9 @@ def run_vectorized(
         def _capture() -> dict:
             # Pure reads of live locals/state — consumes no RNG, so a
             # snapshotted step's stream position equals the
-            # uninterrupted run's (the bit-identity requirement).
+            # uninterrupted run's (the bit-identity requirement).  The
+            # payload shares live containers: the checkpointer pickles
+            # it before the loop moves on.
             return {
                 "engine": "vectorized",
                 "step": step,
@@ -262,7 +294,7 @@ def run_vectorized(
                 "rejected_fitness": rejected_fitness,
                 "rejected_duplicate": rejected_duplicate,
                 "skipped_no_candidate": skipped_no_candidate,
-                "history": None if history is None else list(history),
+                "history": history,
             }
 
     while n < target:

@@ -7,8 +7,9 @@ periodically snapshot their complete mid-run state into a
 :class:`CheckpointStore` beside the shared run cache, and a re-executed
 attempt resumes from the latest valid snapshot instead of from scratch.
 Because a snapshot captures *everything* the remaining steps read — the
-engine state planes, the buffered RNG stream cursor, the generator
-state itself, the loop counters and the recorded history — a resumed
+engine state planes, the buffered RNG stream (the generator state its
+block was drawn from, plus the cursor), the generator state itself, the
+loop counters and the recorded history — a resumed
 run is **bit-identical** to an uninterrupted one; the §5 determinism
 contract survives mid-run death.
 
@@ -63,7 +64,9 @@ __all__ = [
 #: Bump when the snapshot wrapper layout or any engine's snapshot
 #: payload changes; old snapshots are then discarded as
 #: ``format-version`` mismatches instead of restoring garbage state.
-CHECKPOINT_FORMAT_VERSION = 1
+#: Version 2: buffers store their block's origin generator state
+#: instead of the block, and vectorized recipes travel as CSR planes.
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: Entry suffix namespacing snapshots within a shared cache directory
 #: (beside ``*.run.pkl`` / ``*.curve.pkl`` — the store idiom of §5).
@@ -108,10 +111,16 @@ class CheckpointPolicy:
             pickles compactly across the spool (in practice the shared
             run-cache directory).
         every: Snapshot period in engine steps (> 0).
+        key: The item's snapshot key, filled in per work item by the
+            dispatcher from the cache keys it already holds (the run's
+            cache key, or the digest of a batch's keys), so workers
+            never re-canonicalize the spec to name their snapshots.
+            Internal: not a user option.
     """
 
     directory: str
     every: int
+    key: str | None = None
 
     def __post_init__(self) -> None:
         if self.every < 1:
@@ -430,7 +439,9 @@ class RunCheckpointer:
             step: 1-based count of completed engine steps.
             capture: Zero-argument callable returning the engine's
                 picklable snapshot payload; must not consume RNG state
-                (bit-identity would break).
+                (bit-identity would break).  The payload may share the
+                engine's live containers: it is pickled before this
+                method returns.
         """
         if (
             self._store is not None

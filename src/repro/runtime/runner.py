@@ -125,21 +125,20 @@ class RunRequest:
         )
 
 
-def _checkpoint_key(item: "RunRequest | BatchRequest") -> str:
-    """Stable snapshot key for a work item.
+def _checkpoint_key(
+    item: "RunRequest | BatchRequest | ArchipelagoRequest",
+    run_keys: Sequence[str],
+) -> str:
+    """Stable snapshot key for a work item, from its runs' cache keys.
 
-    Single runs key on their cache fingerprint; a batch keys on the
-    digest of its runs' fingerprints in seed order — any change to the
-    batch's composition (or any member's inputs) keys differently, so
-    a resumed batch can never load another batch's snapshot.
+    A single run keys on its cache key; a group keys on the digest of
+    its runs' keys in seed order — any change to the batch's
+    composition (or any member's inputs) keys differently, so a resumed
+    batch can never load another batch's snapshot.
     """
-    if isinstance(item, BatchRequest):
-        parts = fingerprint_many(
-            item.model, item.spec, list(item.seeds),
-            item.record_history, item.engine,
-        )
-        return hashlib.sha256("\n".join(parts).encode("ascii")).hexdigest()
-    return item.fingerprint()
+    if isinstance(item, RunRequest):
+        return run_keys[0]
+    return hashlib.sha256("\n".join(run_keys).encode("ascii")).hexdigest()
 
 
 def _checkpointer_for(
@@ -150,16 +149,27 @@ def _checkpointer_for(
     Consumes any armed ``kill_at_step`` fault (fault injection arms it
     before the task body runs; see :func:`repro.runtime.faults.inject_fault`)
     so even an unpoliced item honors an injected mid-run kill.
+
+    Raises:
+        ExecutionError: If the item's policy carries no snapshot key
+            (policies are attached, keyed, by :func:`dispatch_requests`).
     """
     kill = consume_armed_kill()
     policy = item.checkpoint
-    if policy is None and kill is None:
-        return None
-    store = CheckpointStore(policy.directory) if policy is not None else None
+    if policy is None:
+        if kill is None:
+            return None
+        # Kill-only: nothing is persisted, so nothing needs a key.
+        return RunCheckpointer(None, "", kill_at_step=kill)
+    if policy.key is None:
+        raise ExecutionError(
+            "checkpoint policy has no snapshot key; attach policies "
+            "through dispatch_requests"
+        )
     return RunCheckpointer(
-        store,
-        _checkpoint_key(item),
-        every=policy.every if policy is not None else 0,
+        CheckpointStore(policy.directory),
+        policy.key,
+        every=policy.every,
         kill_at_step=kill,
     )
 
@@ -449,14 +459,13 @@ def _execute_work_write_through(
     return runs
 
 
-def _plan_write_through(
+def _keys_per_item(
     work: Sequence["RunRequest | BatchRequest | ArchipelagoRequest"],
     keys: Sequence[str],
     pending: Sequence[int],
-    cache_dir: str,
-) -> list[_CacheThroughWork]:
-    """Pair each planned work item with the cache keys of its runs."""
-    wrapped: list[_CacheThroughWork] = []
+) -> list[tuple[str, ...]]:
+    """The cache keys of each planned work item's runs, in run order."""
+    per_item: list[tuple[str, ...]] = []
     cursor = 0
     for item in work:
         if isinstance(item, BatchRequest):
@@ -465,18 +474,11 @@ def _plan_write_through(
             count = len(item.members)
         else:
             count = 1
-        wrapped.append(
-            _CacheThroughWork(
-                item=item,
-                cache_dir=cache_dir,
-                keys=tuple(
-                    keys[pending[cursor + offset]]
-                    for offset in range(count)
-                ),
-            )
+        per_item.append(
+            tuple(keys[pending[cursor + offset]] for offset in range(count))
         )
         cursor += count
-    return wrapped
+    return per_item
 
 
 def dispatch_requests(
@@ -516,10 +518,11 @@ def dispatch_requests(
 
     Raises:
         ExecutionError: If ``config.checkpoint_every`` is set without a
-            cache: no snapshot could be written, so the run would have
-            no crash-resume although the caller asked for it.
+            cache (or without cache keys): no snapshot could be written
+            or named, so the run would have no crash-resume although
+            the caller asked for it.
     """
-    if config.checkpoint_every and cache is None:
+    if config.checkpoint_every and (cache is None or keys is None):
         raise ExecutionError(
             f"checkpoint_every={config.checkpoint_every} needs a run cache "
             "to hold its snapshots: set a cache directory (--cache-dir "
@@ -540,11 +543,23 @@ def dispatch_requests(
     if pending:
         executor = get_executor(config)
         work = _plan_work(requests, pending)
+        item_keys = (
+            _keys_per_item(work, keys, pending) if keys is not None else None
+        )
         if config.checkpoint_every:
-            policy = CheckpointPolicy(
-                directory=str(cache.directory), every=config.checkpoint_every
-            )
-            work = [replace(item, checkpoint=policy) for item in work]
+            # Each policy carries its item's snapshot key, derived from
+            # the cache keys already in hand.
+            work = [
+                replace(
+                    item,
+                    checkpoint=CheckpointPolicy(
+                        directory=str(cache.directory),
+                        every=config.checkpoint_every,
+                        key=_checkpoint_key(item, run_keys),
+                    ),
+                )
+                for item, run_keys in zip(work, item_keys)
+            ]
         # Under the distributed backend the *workers* write fresh runs
         # into the shared cache directory (the result rendezvous,
         # DESIGN.md §8) and the coordinator skips its own puts; every
@@ -557,9 +572,14 @@ def dispatch_requests(
         if write_through:
             computed_lists = executor.map(
                 _execute_work_write_through,
-                _plan_write_through(
-                    work, keys, pending, str(cache.directory)
-                ),
+                [
+                    _CacheThroughWork(
+                        item=item,
+                        cache_dir=str(cache.directory),
+                        keys=run_keys,
+                    )
+                    for item, run_keys in zip(work, item_keys)
+                ],
             )
         else:
             computed_lists = executor.map(_execute_work, work)
